@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "audit/state_reference.hpp"
 #include "chain/block_validator.hpp"
 #include "chain/execution/executor.hpp"
 #include "chain/node.hpp"
@@ -39,6 +40,8 @@ std::string_view violation_name(ViolationKind kind) {
       return "batch-verify-divergence";
     case ViolationKind::ParallelExecutionDivergence:
       return "parallel-execution-divergence";
+    case ViolationKind::StateCommitmentDivergence:
+      return "state-commitment-divergence";
   }
   return "unknown";
 }
@@ -178,10 +181,15 @@ void ChainAuditor::audit_state_roots(const std::vector<chain::Block>& blocks,
     }
     state.credit(b.header.proposer, params_.block_reward);
 
+    // The incremental commitment must equal the from-scratch rebuild.
+    const Hash256 ledger = state.digest();
+    if (ledger != reference_state_digest(state))
+      add(report, ViolationKind::StateCommitmentDivergence, h,
+          "incremental ledger digest differs from the from-scratch "
+          "reference");
     const Hash256 contract_digest =
         contract_digest_ ? contract_digest_(h) : Hash256{};
-    const Hash256 expected =
-        crypto::sha256_pair(state.digest(), contract_digest);
+    const Hash256 expected = crypto::sha256_pair(ledger, contract_digest);
     if (expected != b.header.state_root)
       add(report, ViolationKind::BadStateRoot, h,
           "recomputed state commitment differs from header state_root");

@@ -54,6 +54,7 @@ enum class ViolationKind : std::uint8_t {
   OrphanPoolOverflow,    ///< node holds more orphans than params.max_orphans
   BatchVerifyDivergence,  ///< batch sig verdict != per-tx sequential verdict
   ParallelExecutionDivergence,  ///< wave-parallel replay != sequential replay
+  StateCommitmentDivergence,  ///< incremental state digest != from-scratch one
 };
 
 [[nodiscard]] std::string_view violation_name(ViolationKind kind);
@@ -97,7 +98,9 @@ class ChainAuditor {
   void set_validator(const chain::BlockValidator* v) { validator_ = v; }
 
   /// Audit a best-chain block sequence, genesis first: structure plus a
-  /// full ledger replay recomputing every state root.
+  /// full ledger replay recomputing every state root, with the
+  /// incremental ledger digest checked against the from-scratch
+  /// reference (audit/state_reference.hpp) at every block.
   [[nodiscard]] AuditReport audit_blocks(
       const std::vector<chain::Block>& blocks) const;
 

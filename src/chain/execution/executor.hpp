@@ -88,7 +88,11 @@ struct BlockExecResult {
 class BlockExecutor {
  public:
   BlockExecutor(ChainParams params, ExecutionHook* hook)
-      : params_(std::move(params)), hook_(hook) {}
+      : params_(std::move(params)), hook_(hook) {
+    // Blocks never read the genesis allocation; its owner replays it.
+    // Dropping this copy keeps one premine per node, not two.
+    std::vector<std::pair<Address, Amount>>().swap(params_.premine);
+  }
 
   void set_config(const ExecutionConfig& config) {
     config_ = config;

@@ -3,11 +3,22 @@
 #include <algorithm>
 
 #include "audit/check.hpp"
+#include "audit/state_reference.hpp"
 #include "chain/block_validator.hpp"
 #include "chain/execution/executor.hpp"
 #include "chain/pow.hpp"
 
 namespace mc::chain {
+
+namespace {
+
+/// Audit builds re-derive every committed ledger digest from scratch.
+void check_commitment(const WorldState& state) {
+  MC_DCHECK(audit::reference_state_digest(state) == state.digest(),
+            "incremental state commitment diverged from the reference");
+}
+
+}  // namespace
 
 Node::Node(crypto::PrivateKey key, ChainParams params, Block genesis,
            ExecutionHook* hook)
@@ -15,7 +26,8 @@ Node::Node(crypto::PrivateKey key, ChainParams params, Block genesis,
       address_(crypto::address_of(key.pub)),
       params_(params),
       hook_(hook),
-      executor_(std::make_unique<exec::BlockExecutor>(params, hook)) {
+      executor_(
+          std::make_unique<exec::BlockExecutor>(std::move(params), hook)) {
   genesis_id_ = genesis.id();
   blocks_.emplace(genesis_id_, StoredBlock{genesis, 0});
   tip_ = genesis_id_;
@@ -60,23 +72,26 @@ Block Node::propose(std::uint64_t time_ms) {
   block.txs = mempool_.select(state_, params_, params_.max_block_txs);
   block.header.tx_root = block.compute_tx_root();
 
-  // Preview pass: derive the post-block state commitment. A selected tx
-  // that fails execution (e.g. a reverting contract call) is evicted and
-  // the block falls back to empty rather than proposing garbage. Every
+  // Preview pass: derive the post-block state commitment by applying in
+  // place and undoing through the state journal. A selected tx that
+  // fails execution (e.g. a reverting contract call) is evicted and the
+  // block falls back to empty rather than proposing garbage. Every
   // selected tx passed the mempool's signature check, so the preview
   // skips re-verifying Schnorr.
-  WorldState preview = state_;
-  if (!apply_block(preview, block, /*count=*/false, nullptr,
+  state_.checkpoint();
+  if (!apply_block(state_, block, /*count=*/false, nullptr,
                    /*sigs_prechecked=*/true)) {
+    state_.revert();
     if (hook_ != nullptr) hook_->rollback_to(tip_height_);
     mempool_.remove(block.txs);
     block.txs.clear();
     block.header.tx_root = block.compute_tx_root();
-    preview = state_;
-    apply_block(preview, block, /*count=*/false, nullptr,
+    state_.checkpoint();
+    apply_block(state_, block, /*count=*/false, nullptr,
                 /*sigs_prechecked=*/true);  // reward only
   }
-  block.header.state_root = state_commitment(preview);
+  block.header.state_root = state_commitment(state_);
+  state_.revert();
   if (hook_ != nullptr) hook_->rollback_to(tip_height_);
   MC_DCHECK(block.tx_root_valid(), "proposed block with stale tx_root");
   MC_DCHECK(block.txs.size() <= params_.max_block_txs,
@@ -139,7 +154,7 @@ std::optional<WorldState> Node::replay(
   return fresh;
 }
 
-void Node::adopt(const BlockId& id, Height height, WorldState new_state,
+void Node::adopt(const BlockId& id, Height height, WorldState&& new_state,
                  const std::vector<const Block*>& path,
                  std::vector<TxReceipt> receipts) {
   MC_DCHECK(!path.empty() && path.back()->id() == id,
@@ -149,6 +164,7 @@ void Node::adopt(const BlockId& id, Height height, WorldState new_state,
   tip_ = id;
   tip_height_ = height;
   state_ = std::move(new_state);
+  check_commitment(state_);
   committed_txs_.clear();
   for (auto& r : receipts) committed_txs_[r.id] = r;
   for (const Block* b : path) mempool_.remove(b->txs);
@@ -200,27 +216,26 @@ BlockVerdict Node::receive(const Block& block) {
   BlockVerdict verdict = BlockVerdict::AcceptedSide;
   if (height > tip_height_) {
     if (block.header.parent == tip_) {
-      // Common case: direct extension — apply incrementally.
-      WorldState next = state_;
+      // Common case: direct extension — apply in place on the live
+      // state; the journal undoes a rejected block.
+      state_.checkpoint();
       std::vector<TxReceipt> receipts;
-      if (!apply_block(next, block, /*count=*/true, &receipts,
-                       /*sigs_prechecked=*/true)) {
-        // Contract effects of the partial application must not leak.
+      if (!apply_block(state_, block, /*count=*/true, &receipts,
+                       /*sigs_prechecked=*/true) ||
+          state_commitment(state_) != block.header.state_root) {
+        // A failing tx, or a proposer that committed to a different
+        // post-state: neither ledger nor contract effects may leak.
+        state_.revert();
         if (hook_ != nullptr) hook_->rollback_to(tip_height_);
         blocks_.erase(id);
         return BlockVerdict::Invalid;
       }
-      if (state_commitment(next) != block.header.state_root) {
-        // Proposer committed to a different post-state: reject.
-        if (hook_ != nullptr) hook_->rollback_to(tip_height_);
-        blocks_.erase(id);
-        return BlockVerdict::Invalid;
-      }
+      state_.release_checkpoint();
+      check_commitment(state_);
       MC_DCHECK(height == tip_height_ + 1,
                 "direct extension must advance the tip by exactly one");
       tip_ = id;
       tip_height_ = height;
-      state_ = std::move(next);
       for (auto& r : receipts) committed_txs_[r.id] = r;
       mempool_.remove(block.txs);
     } else {

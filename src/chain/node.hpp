@@ -195,7 +195,7 @@ class Node {
                                    std::vector<TxReceipt>* receipts = nullptr);
 
   /// Adopt `id` as the new tip with `new_state` and branch `receipts`.
-  void adopt(const BlockId& id, Height height, WorldState new_state,
+  void adopt(const BlockId& id, Height height, WorldState&& new_state,
              const std::vector<const Block*>& path,
              std::vector<TxReceipt> receipts);
 

@@ -18,9 +18,10 @@ std::optional<QueryExecution> GlobalQueryService::submit_text(
     const std::string& text) {
   Stopwatch parse_timer;
   const auto qv = learn::parse_query(text);
+  const double parse_s = parse_timer.seconds();
   if (!qv.has_value()) return std::nullopt;
   QueryExecution execution = submit(*qv);
-  execution.timings.parse_s += parse_timer.seconds();
+  execution.timings.parse_s = parse_s;
   return execution;
 }
 
@@ -137,12 +138,14 @@ QueryExecution GlobalQueryService::submit(const learn::QueryVector& qv) {
   // Close the on-chain loop: post each permitted request's result digest
   // back through the analytics contract (bridge identity).
   if (gate_.has_value()) {
+    Stopwatch complete_timer;
     for (std::size_t i = 0; i < request_ids.size(); ++i) {
       const contracts::Word result_digest =
           results[i].executed ? (qv.digest() ^ fnv1a(results[i].site)) : 0;
       gate_->analytics->complete(gate_->bridge->identity(), request_ids[i],
                                  result_digest);
     }
+    execution.timings.gate_s += complete_timer.seconds();
   }
 
   execution.site_results = std::move(results);

@@ -36,7 +36,7 @@ struct ChainGate {
 
 struct StageTimings {
   double parse_s = 0;
-  double gate_s = 0;     ///< on-chain request/permission stage
+  double gate_s = 0;     ///< on-chain request/permission + completion
   double execute_s = 0;  ///< parallel local analytics
   double compose_s = 0;
 

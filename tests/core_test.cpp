@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/stopwatch.hpp"
 #include "core/baselines.hpp"
 #include "core/compose.hpp"
 #include "core/global_query.hpp"
@@ -224,6 +225,44 @@ TEST(GlobalQueryGate, PolicyDenialSkipsSites) {
 
   // The permitted request completed on-chain through the bridge.
   EXPECT_EQ(analytics.status(1), contracts::RequestStatus::Done);
+}
+
+TEST(GlobalQueryGate, StageTimingsStayWithinWallTime) {
+  // Each stage is timed once: parse only the parse, the on-chain
+  // completion loop inside the gate stage. Their sum cannot exceed the
+  // wall time of the whole call.
+  std::vector<LocalSystem> sites;
+  sites.emplace_back("site-a", records_of(80, 20));
+  sites.emplace_back("site-b", records_of(80, 21));
+
+  vm::ContractStore store;
+  contracts::PolicyContract policy(store, 1, 1);
+  contracts::AnalyticsContract analytics(store, 1, 1);
+  oracle::MonitorNode monitor(store);
+  constexpr contracts::Word kBridge = 0xb;
+  ASSERT_TRUE(analytics.init(1, kBridge, policy.id()));
+  oracle::OffchainBridge bridge(analytics, policy, monitor, kBridge);
+  constexpr contracts::Word kResearcher = 0x77;
+  for (const char* name : {"site-a", "site-b"}) {
+    ASSERT_TRUE(policy.register_dataset(fnv1a(name), fnv1a(name)));
+    ASSERT_TRUE(policy.grant(fnv1a(name), fnv1a(name), kResearcher,
+                             contracts::kPermCompute));
+  }
+  ChainGate gate;
+  gate.policy = &policy;
+  gate.analytics = &analytics;
+  gate.bridge = &bridge;
+  gate.requester = kResearcher;
+  GlobalQueryService service({&sites[0], &sites[1]}, {}, gate);
+
+  for (int i = 0; i < 5; ++i) {
+    Stopwatch wall;
+    const auto exec = service.submit_text("count smokers with age over 60");
+    const double wall_s = wall.seconds();
+    ASSERT_TRUE(exec.has_value());
+    EXPECT_LE(exec->timings.total(), wall_s);
+    EXPECT_GT(exec->timings.gate_s, 0.0);
+  }
 }
 
 TEST(Scheduler, PrefersDataLocality) {

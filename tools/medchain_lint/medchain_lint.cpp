@@ -40,6 +40,11 @@
 //                            footprint summaries the parallel scheduler
 //                            concretizes are computed exactly once, at
 //                            the choke point.
+//   state-copy               copying a WorldState by value is banned
+//                            outside chain/state and audit/ — nodes
+//                            apply blocks in place under the state's
+//                            undo journal, so an O(state) copy per
+//                            block must not creep back (DESIGN.md §16).
 //
 // Escape hatch: `// medchain-lint: allow(<rule>[, <rule>...])` on the
 // offending line or the line directly above it; `allow-file(<rule>)`
@@ -99,6 +104,9 @@ constexpr Rule kRules[] = {
     {"footprint-bypass",
      "Deploy transactions only - raw <store>.deploy() outside vm/ and "
      "tests skips the admission gate and its footprint summaries"},
+    {"state-copy",
+     "checkpoint()/revert() only - a by-value WorldState copy outside "
+     "chain/state and audit/ costs O(state) per use"},
 };
 
 bool is_known_rule(std::string_view name) {
@@ -326,6 +334,61 @@ const char* check_footprint_bypass(std::string_view line) {
   return receiver_member_call(line, {".deploy(", "->deploy("}, {"store"});
 }
 
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && s.front() == ' ') s.remove_prefix(1);
+  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
+  return s;
+}
+
+/// Matches a WorldState copied by value: a declaration initialized from
+/// an existing object (`WorldState next = state_;`, `WorldState s{x};`,
+/// `WorldState s(x);`) or a by-value parameter (`WorldState s,` /
+/// `WorldState s)`). Moves, references, pointers, default-constructed
+/// states and functions returning a WorldState do not fire.
+const char* check_state_copy(std::string_view line) {
+  constexpr std::string_view kType = "WorldState";
+  std::size_t at = 0;
+  while ((at = line.find(kType, at)) != std::string_view::npos) {
+    const std::size_t start = at;
+    at += kType.size();
+    if ((start > 0 && is_word(line[start - 1])) ||
+        (at < line.size() && is_word(line[at])))
+      continue;  // part of a longer identifier
+    std::size_t i = at;
+    while (i < line.size() && line[i] == ' ') ++i;
+    const std::size_t name = i;
+    while (i < line.size() && is_word(line[i])) ++i;
+    // No declarator name: `WorldState&`, `<WorldState>`, `WorldState::`.
+    if (i == name || line.substr(name, i - name) == "const") continue;
+    while (i < line.size() && line[i] == ' ') ++i;
+    if (i >= line.size()) continue;
+    const char c = line[i];
+    if (c == ',' || c == ')') return "WorldState parameter by value";
+    std::string_view init;
+    if (c == '=' && (i + 1 >= line.size() || line[i + 1] != '=')) {
+      init = trim(line.substr(i + 1));
+      if (!init.empty() && init.back() == ';') init.remove_suffix(1);
+    } else if (c == '{' || c == '(') {
+      const char close = c == '{' ? '}' : ')';
+      const std::size_t end = line.rfind(close);
+      if (end == std::string_view::npos || end < i) continue;
+      init = trim(line.substr(i + 1, end - i - 1));
+      // A parameter list (`WorldState make(const X& x)`) declares a
+      // function; a copy's initializer is one expression with no spaces.
+      if (c == '(' && init.find_first_of(" ,") != std::string_view::npos)
+        continue;
+    } else {
+      continue;
+    }
+    init = trim(init);
+    if (init.empty() || init == "{}" || init.rfind("std::move(", 0) == 0 ||
+        init.rfind("WorldState{", 0) == 0 || init.rfind("WorldState(", 0) == 0)
+      continue;
+    return "WorldState copy";
+  }
+  return nullptr;
+}
+
 /// Heuristic declaration finder for decode*/verify* in headers. A match
 /// is a declaration when the name is preceded by a type-ish token on the
 /// same line (identifier/`>`/`&`/`*` that is not `return`), not reached
@@ -413,6 +476,11 @@ bool rule_applies(std::string_view rule, const std::string& rel,
   // exercise the raw entry point deliberately.
   if (rule == "footprint-bypass")
     return !in_dir(rel, "vm/") && rel.find("tests/") == std::string::npos;
+  // chain/state owns the copy constructor; audit/ rebuilds states from
+  // scratch as the independent reference.
+  if (rule == "state-copy")
+    return rel != "chain/state.hpp" && rel != "chain/state.cpp" &&
+           !in_dir(rel, "audit/");
   return false;
 }
 
@@ -485,6 +553,7 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
     report("vm-direct-execute", check_vm_direct_execute(stripped));
     report("state-direct-apply", check_state_direct_apply(stripped));
     report("footprint-bypass", check_footprint_bypass(stripped));
+    report("state-copy", check_state_copy(stripped));
 
     prev_allows = line_allows;
     prev_stripped = stripped;

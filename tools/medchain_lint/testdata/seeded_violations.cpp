@@ -50,6 +50,22 @@ void state_bypass_violations() {
   estate.applying(tx);          // wrong member name: must not fire
 }
 
+void state_copy_violations(const WorldState& state_, const Node& node) {
+  WorldState preview = state_;              // expect(state-copy)
+  chain::WorldState next{state_};           // expect(state-copy)
+  WorldState snap(node.state());            // expect(state-copy)
+  WorldState fresh;                         // fresh state: must not fire
+  WorldState moved = std::move(preview);    // move: must not fire
+  const WorldState& view = state_;          // reference: must not fire
+  WorldState* ptr = &next;                  // pointer: must not fire
+  (void)snap; (void)fresh; (void)moved; (void)view; (void)ptr;
+}
+
+void adopt_by_value(WorldState new_state, int height);  // expect(state-copy)
+void adopt_by_move(WorldState&& new_state, int height);  // must not fire
+WorldState build_state(const ChainParams& params);  // returns: must not fire
+std::optional<WorldState> replay(const Path& path);  // must not fire
+
 void suppressed_lines() {
   // Justification: fixture proves the escape hatch suppresses a match.
   int r = rand();  // medchain-lint: allow(determinism-random)
