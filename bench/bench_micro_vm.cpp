@@ -61,10 +61,38 @@ STOP
   NullHost host;
   for (auto _ : state) {
     Storage storage;  // fresh map per run
-    benchmark::DoNotOptimize(execute(BytesView(code), storage, ctx, host));
+    const ExecResult result = execute(BytesView(code), storage, ctx, host);
+    fold_writes(storage, result.writes);
+    benchmark::DoNotOptimize(storage);
   }
 }
 BENCHMARK(BM_StorageWrites);
+
+void BM_ContractCallStorageSize(benchmark::State& state) {
+  // One SSTORE call into a contract already holding N cells, through the
+  // store inside an open block (undo record live). A call costs what it
+  // touches, so this stays flat in N.
+  const auto cells = static_cast<Word>(state.range(0));
+  ContractStore store;
+  const Word id = store.deploy(
+      assemble("PUSH 2\nCALLDATALOAD\nPUSH 1\nCALLDATALOAD\nSSTORE\nSTOP"),
+      1, 1);
+  ExecContext ctx;
+  ctx.calldata = {0, 0, 1};
+  for (Word key = 0; key < cells; ++key) {
+    ctx.calldata[1] = key;
+    store.call(id, ctx);
+  }
+  store.snapshot(1);
+  Word n = 0;
+  for (auto _ : state) {
+    ctx.calldata[1] = n % cells;
+    ctx.calldata[2] = ++n;
+    benchmark::DoNotOptimize(store.call(id, ctx));
+  }
+  state.counters["cells"] = static_cast<double>(store.contract(id)->storage.size());
+}
+BENCHMARK(BM_ContractCallStorageSize)->Arg(1000)->Arg(10000);
 
 void BM_PolicyCheckCall(benchmark::State& state) {
   // Full contract-call path: the gate the transform pays per task.

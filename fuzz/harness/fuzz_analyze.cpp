@@ -70,9 +70,7 @@ int analyze(const std::uint8_t* data, std::size_t size) {
 
   // Soundness: a concrete run of the same bytes must stay inside the
   // static bounds (gas, stack depth, storage footprint).
-  vm::Storage storage;
-  storage[1] = 7;
-  storage[42] = 9;
+  const vm::Storage storage = {{1, 7}, {42, 9}};
   vm::ExecContext ctx;
   ctx.contract_id = 11;
   ctx.caller = 22;
@@ -86,6 +84,11 @@ int analyze(const std::uint8_t* data, std::size_t size) {
   ctx.trace = &trace;
   AnalyzeHost host;
   const vm::ExecResult result = vm::execute(code, storage, ctx, host);
+  // The returned write-set is bounded by the same trace: every buffered
+  // key was traced as a write.
+  for (const auto& entry : result.writes)
+    MC_FUZZ_EXPECT(trace.writes.count(entry.first) > 0,
+                   "write-set holds a key the trace never wrote");
 
   const std::string violation =
       vm::analysis::soundness_violation(report, trace, result);

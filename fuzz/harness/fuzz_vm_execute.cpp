@@ -5,9 +5,10 @@
 // no sanitizer findings, no unbounded allocation, no crash. Because the
 // chain replays contracts on every node, execution must also be
 // perfectly deterministic — the same code, context and storage must
-// yield the same halt, gas, return values, events and post-storage every
-// time. Both properties are asserted here, plus crash-freedom of the
-// static checker and the disassembler over the same bytes.
+// yield the same halt, gas, return values, events, write-set and
+// post-storage every time. Both properties are asserted here, plus
+// crash-freedom of the static checker and the disassembler over the
+// same bytes.
 
 #include "fuzz/harness/fuzz_common.hpp"
 #include "fuzz/harness/fuzz_targets.hpp"
@@ -62,6 +63,7 @@ RunOutcome run_once(BytesView code) {
   ctx.calldata = {1, 2, 3, 0xdeadbeefULL};
   RecordingHost host;
   out.result = vm::execute(code, out.storage, ctx, host);
+  vm::fold_writes(out.storage, out.result.writes);
   out.event_words = host.event_words();
   return out;
 }
@@ -81,7 +83,9 @@ int vm_execute(const std::uint8_t* data, std::size_t size) {
   MC_FUZZ_EXPECT(a.result.gas_used <= 100'000, "gas accounting exceeded cap");
   MC_FUZZ_EXPECT(a.result.steps <= 50'001, "step count exceeded its limit");
   if (!a.result.ok()) {
-    // Failed runs are all-or-nothing: storage must be untouched.
+    // Failed runs are all-or-nothing: no write-set, storage untouched.
+    MC_FUZZ_EXPECT(a.result.writes.empty(),
+                   "failed execution returned a write-set");
     vm::Storage pristine;
     pristine[1] = 7;
     pristine[42] = 9;
@@ -97,6 +101,8 @@ int vm_execute(const std::uint8_t* data, std::size_t size) {
   MC_FUZZ_EXPECT(a.result.steps == b.result.steps, "steps diverged on replay");
   MC_FUZZ_EXPECT(a.result.returned == b.result.returned,
                  "return values diverged on replay");
+  MC_FUZZ_EXPECT(a.result.writes == b.result.writes,
+                 "write-set diverged on replay");
   MC_FUZZ_EXPECT(a.storage == b.storage, "post-storage diverged on replay");
   MC_FUZZ_EXPECT(a.event_words == b.event_words, "events diverged on replay");
 

@@ -86,13 +86,13 @@ bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
       // Commit-point speculation IS sequential execution: all earlier txs
       // have committed, so the run is exact and committing it mirrors a
       // direct store call — and yields the dynamic footprint for free.
-      if (!run->ok) {
-        out.error = run->error;
+      if (!run->ok()) {
+        out.error = run->error();
         return false;
       }
-      exec_gas = run->gas;
+      exec_gas = run->gas();
       spec->commit(*run);
-      if (config_.record_dynamic_footprints && record_footprint)
+      if (record_footprint)
         provider_.record(tx, run->call.contract_id, run->call.trace);
     } else {
       try {
@@ -174,11 +174,11 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
             s.needs_commit_exec = true;
             return;
           }
-          s.exec_gas = s.run->gas;
-          if (!s.run->ok) {
+          s.exec_gas = s.run->gas();
+          if (!s.run->ok()) {
             // Mirrors the sequential hook throw; the ledger side never
             // runs. Confirmed or refuted at the commit slot.
-            s.error = s.run->error;
+            s.error = s.run->error();
             return;
           }
         } else {
@@ -250,7 +250,7 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
       }
 
       // Speculation validated: the verdict is final.
-      if ((s.run.has_value() && !s.run->ok) || !s.ledger_ok) {
+      if ((s.run.has_value() && !s.run->ok()) || !s.ledger_ok) {
         out.error = s.error;
         return false;
       }
@@ -262,8 +262,7 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
       if (receipts != nullptr)
         receipts->push_back(TxReceipt{tx.id(), height, s.gas_used,
                                       static_cast<std::uint32_t>(cursor)});
-      if (config_.record_dynamic_footprints && s.run.has_value() &&
-          fps[cursor].unbounded)
+      if (s.run.has_value() && fps[cursor].unbounded)
         provider_.record(tx, s.run->call.contract_id, s.run->call.trace);
       ++cursor;
     }

@@ -33,8 +33,6 @@ struct ExecutionConfig {
   std::size_t workers = 1;
   /// Pool the waves fan across; nullptr selects the sequential path.
   ThreadPool* pool = nullptr;
-  /// Record first-run dynamic footprints for ⊤ transactions.
-  bool record_dynamic_footprints = true;
   /// Concretize per-selector symbolic footprint summaries against tx
   /// calldata (DESIGN.md §12–13). Off = the Param-as-whole-kind
   /// baseline, kept as the A/B arm for benches.

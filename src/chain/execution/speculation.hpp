@@ -18,15 +18,19 @@
 
 namespace mc::chain::exec {
 
-/// One contract call executed speculatively. `ok == false` mirrors the
+/// One contract call executed speculatively. `!ok()` mirrors the
 /// sequential path's hook throw: if the run's observations survive to its
 /// commit slot, the whole block is invalid, exactly as sequential
 /// execution would have decided.
 struct SpeculativeRun {
-  Gas gas = 0;
-  bool ok = false;
-  std::string error;  ///< trap description when !ok
   vm::SpeculativeCall call;
+
+  [[nodiscard]] bool ok() const { return call.result.ok(); }
+  [[nodiscard]] Gas gas() const { return call.result.gas_used; }
+  /// Trap description when !ok(), as the sequential hook throws it.
+  [[nodiscard]] std::string error() const {
+    return "contract trapped: " + std::string(vm::halt_name(call.result.halt));
+  }
 };
 
 class ContractSpeculation {

@@ -31,6 +31,22 @@ std::optional<DecodedCall> decode_call_payload(BytesView payload) {
   }
 }
 
+namespace {
+
+/// VM context of a Call tx at `height` (execute and speculate alike).
+vm::ExecContext call_context(const Transaction& tx, Height height,
+                             std::vector<vm::Word> calldata) {
+  vm::ExecContext ctx;
+  ctx.caller = fnv1a(BytesView(tx.from.data));
+  ctx.call_value = tx.amount;
+  ctx.height = height;
+  ctx.gas_limit = tx.gas_limit;
+  ctx.calldata = std::move(calldata);
+  return ctx;
+}
+
+}  // namespace
+
 Gas VmExecutionHook::execute(const Transaction& tx, Height height) {
   if (tx.kind == TxKind::Deploy) {
     if (!vm::code_well_formed(BytesView(tx.payload)))
@@ -51,21 +67,11 @@ Gas VmExecutionHook::execute(const Transaction& tx, Height height) {
   if (tx.kind != TxKind::Call)
     throw std::invalid_argument("hook only executes Deploy/Call");
 
-  const auto call = decode_call_payload(BytesView(tx.payload));
+  auto call = decode_call_payload(BytesView(tx.payload));
   if (!call.has_value())
     throw std::invalid_argument("malformed call payload");
-
-  vm::ExecContext ctx;
-  ctx.caller = fnv1a(BytesView(tx.from.data));
-  ctx.call_value = tx.amount;
-  ctx.height = height;
-  ctx.gas_limit = tx.gas_limit;
-  ctx.calldata = call->calldata;
-
-  vm::NullHost null_host;
-  const auto result =
-      store_.call(call->contract_id, std::move(ctx),
-                  host_ != nullptr ? *host_ : null_host);
+  vm::ExecContext ctx = call_context(tx, height, std::move(call->calldata));
+  const auto result = store_.call(call->contract_id, std::move(ctx), host_);
   if (!result.has_value())
     throw std::invalid_argument("call to unknown contract");
   if (!result->ok())
@@ -77,31 +83,17 @@ Gas VmExecutionHook::execute(const Transaction& tx, Height height) {
 std::optional<exec::SpeculativeRun> VmExecutionHook::speculate(
     const Transaction& tx, Height height) const {
   if (tx.kind != TxKind::Call) return std::nullopt;
-  const auto call = decode_call_payload(BytesView(tx.payload));
+  auto call = decode_call_payload(BytesView(tx.payload));
   // Malformed payloads and non-speculable targets (unknown contracts,
   // oracle users) fall back to the commit slot, where execute() raises
   // the same verdict sequential execution would.
   if (!call.has_value()) return std::nullopt;
   if (!store_.speculable(call->contract_id)) return std::nullopt;
 
-  vm::ExecContext ctx;
-  ctx.caller = fnv1a(BytesView(tx.from.data));
-  ctx.call_value = tx.amount;
-  ctx.height = height;
-  ctx.gas_limit = tx.gas_limit;
-  ctx.calldata = call->calldata;
-
+  vm::ExecContext ctx = call_context(tx, height, std::move(call->calldata));
   auto spec = store_.call_speculative(call->contract_id, std::move(ctx));
   if (!spec.has_value()) return std::nullopt;
-
-  exec::SpeculativeRun run;
-  run.gas = spec->result.gas_used;
-  run.ok = spec->result.ok();
-  if (!run.ok)
-    run.error = std::string("contract trapped: ") +
-                std::string(vm::halt_name(spec->result.halt));
-  run.call = std::move(*spec);
-  return run;
+  return exec::SpeculativeRun{std::move(*spec)};
 }
 
 void VmExecutionHook::rollback_to(Height height) {

@@ -3,8 +3,8 @@
 //
 // This is what makes the consortium chain of Fig. 2 carry the actual
 // contract suite: every node replays every Deploy/Call deterministically
-// (duplicated computing), stores snapshot at each block boundary, and
-// rolls contract state back on reorgs alongside the ledger.
+// (duplicated computing), stores seal a block undo record at each block
+// boundary, and roll contract state back alongside the ledger.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,7 @@ class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
 
   // exec::ContractSpeculation — buffered Call execution for the wave
   // scheduler. speculate() is const over store state (safe concurrently
-  // against a frozen store); commit() replays the buffered writes, so
+  // against a frozen store); commit() folds the buffered writes, so
   // speculate-then-commit at the commit slot is exactly execute().
   [[nodiscard]] const vm::ContractStore* store() const override {
     return &store_;
@@ -68,7 +68,7 @@ class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
     store_.commit_speculation(run.call, host_);
   }
 
-  /// Snapshot label for reorg support; Node calls this via
+  /// Seal the block's contract undo record; Node calls this via
   /// on_block_connected.
   void on_block_connected(Height height) override {
     store_.snapshot(height);

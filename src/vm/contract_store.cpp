@@ -7,67 +7,42 @@
 namespace mc::vm {
 namespace {
 
-/// Forwards oracle calls to the outer host, logs events locally, and
-/// serves cross-contract reads from the store's committed state (so
-/// SXLOAD is deterministic on-chain data, never an off-chain call).
-class CapturingHost : public Host {
- public:
-  CapturingHost(Host& inner, std::vector<Event>& sink,
-                const std::map<Word, DeployedContract>& contracts)
-      : inner_(inner), sink_(sink), contracts_(contracts) {}
+using Contracts = std::map<Word, DeployedContract>;
 
-  std::optional<Word> oracle(Word request) override {
-    return inner_.oracle(request);
-  }
+/// Committed value of one storage cell; 0 for an unknown contract/key.
+Word committed(const Contracts& contracts, Word id, Word key) {
+  auto it = contracts.find(id);
+  if (it == contracts.end()) return 0;
+  auto slot = it->second.storage.find(key);
+  return slot == it->second.storage.end() ? 0 : slot->second;
+}
 
-  void on_event(const Event& event) override {
-    sink_.push_back(event);
-    inner_.on_event(event);
-  }
-
-  std::optional<Word> foreign_storage(Word contract_id, Word key) override {
-    auto it = contracts_.find(contract_id);
-    if (it == contracts_.end()) return 0;  // unknown contract reads as 0
-    auto slot = it->second.storage.find(key);
-    return slot == it->second.storage.end() ? 0 : slot->second;
-  }
-
- private:
-  Host& inner_;
-  std::vector<Event>& sink_;
-  const std::map<Word, DeployedContract>& contracts_;
-};
-
-/// Host for speculative runs: buffers events locally (committed later, or
-/// never), records the value of every foreign read for commit-time
-/// validation, and fails oracle requests — speculable() excludes oracle
-/// contracts, so a trap here only means the gate was bypassed.
+/// Host for buffered runs: keeps events in the call (committed later, or
+/// never), serves SXLOAD from committed state and records what it read,
+/// and forwards oracle requests to `oracle` (null fails them: speculable()
+/// keeps oracle contracts out of speculative runs).
 class SpeculativeHost : public Host {
  public:
-  SpeculativeHost(SpeculativeCall& spec,
-                  const std::map<Word, DeployedContract>& contracts)
-      : spec_(spec), contracts_(contracts) {}
+  SpeculativeHost(SpeculativeCall& spec, const Contracts& contracts,
+                  Host* oracle)
+      : spec_(spec), contracts_(contracts), oracle_(oracle) {}
 
-  std::optional<Word> oracle(Word /*request*/) override {
-    return std::nullopt;
+  std::optional<Word> oracle(Word request) override {
+    return oracle_ != nullptr ? oracle_->oracle(request) : std::nullopt;
   }
 
   void on_event(const Event& event) override { spec_.events.push_back(event); }
 
   std::optional<Word> foreign_storage(Word contract_id, Word key) override {
-    Word value = 0;  // unknown contract/key reads as 0, as CapturingHost
-    auto it = contracts_.find(contract_id);
-    if (it != contracts_.end()) {
-      auto slot = it->second.storage.find(key);
-      if (slot != it->second.storage.end()) value = slot->second;
-    }
+    const Word value = committed(contracts_, contract_id, key);
     spec_.observed.emplace(std::make_pair(contract_id, key), value);
     return value;
   }
 
  private:
   SpeculativeCall& spec_;
-  const std::map<Word, DeployedContract>& contracts_;
+  const Contracts& contracts_;
+  Host* oracle_;
 };
 
 /// Scan bytecode for Op::Oracle (deployment-time; immediate widths keep
@@ -112,6 +87,7 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   const analysis::AdmissionVerdict verdict = analysis::admit(report, policy_);
   if (!verdict.admitted) throw AdmissionError(verdict.reason);
 
+  if (!open_.nonce.has_value()) open_.nonce = nonce_;
   ByteWriter w;
   w.bytes(BytesView(code));
   w.u64(deployer);
@@ -127,6 +103,7 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   dc.deployed_height = height;
   dc.report = std::move(report);
   contracts_[id] = std::move(dc);
+  open_.created.insert(id);
   return id;
 }
 
@@ -135,8 +112,8 @@ bool ContractStore::speculable(Word id) const {
   return it != contracts_.end() && !it->second.uses_oracle;
 }
 
-std::optional<SpeculativeCall> ContractStore::call_speculative(
-    Word id, ExecContext ctx) const {
+std::optional<SpeculativeCall> ContractStore::run(
+    Word id, ExecContext ctx, Host* oracle, bool traced) const {
   auto it = contracts_.find(id);
   if (it == contracts_.end()) return std::nullopt;
   const DeployedContract& dc = it->second;
@@ -144,53 +121,46 @@ std::optional<SpeculativeCall> ContractStore::call_speculative(
   SpeculativeCall spec;
   spec.contract_id = id;
   ctx.contract_id = id;
-  ctx.trace = &spec.trace;  // always traced: the write/read sets come from it
+#if defined(MEDCHAIN_AUDIT)
+  traced = true;  // every run is checked against the static bounds below
+#endif
+  ctx.trace = traced ? &spec.trace : nullptr;
 
-  SpeculativeHost host(spec, contracts_);
-  Storage working = dc.storage;  // scratch copy; the store stays untouched
-  spec.result = execute(BytesView(dc.code), working, ctx, host);
+  SpeculativeHost host(spec, contracts_, oracle);
+  spec.result = execute(BytesView(dc.code), dc.storage, ctx, host);
 
 #if defined(MEDCHAIN_AUDIT)
-  // Same soundness contract as call(): the dynamic trace must sit inside
-  // the static bounds proven at deployment.
+  // Audit builds mechanically enforce the analyzer's soundness contract:
+  // the dynamic footprint/stack of every call must sit inside the static
+  // bounds proven at deployment.
   const std::string violation =
       analysis::soundness_violation(dc.report, spec.trace, spec.result);
   MC_DCHECK(violation.empty(),
-            "static analysis soundness contract violated on speculative call");
+            "static analysis soundness contract violated on contract call");
   const std::string concrete_violation = concretization_check(dc, ctx, spec.trace);
   MC_DCHECK(concrete_violation.empty(),
-            "concretized footprint missed a traced cell on speculative call");
+            "concretized footprint missed a traced cell on contract call");
 #endif
 
-  // Own-storage observations: the pre-state value of every key the run
-  // read (conservative — even reads after an own write validate against
-  // the committed pre-image).
-  for (const Word key : spec.trace.reads) {
-    auto slot = dc.storage.find(key);
+  // Own-storage observations of a traced run: the pre-state value of
+  // every key it read (conservative — even reads after an own write
+  // validate against the committed pre-image).
+  for (const Word key : spec.trace.reads)
     spec.observed.emplace(std::make_pair(id, key),
-                          slot == dc.storage.end() ? 0 : slot->second);
-  }
-  // Write post-images, only meaningful for runs that halted ok (a trap
-  // rolls its writes back; validation still uses the observed set).
-  if (spec.result.ok()) {
-    for (const Word key : spec.trace.writes) {
-      auto slot = working.find(key);
-      spec.writes[key] = slot == working.end() ? 0 : slot->second;
-    }
-  }
+                          committed(contracts_, id, key));
   return spec;
 }
 
+std::optional<SpeculativeCall> ContractStore::call_speculative(
+    Word id, ExecContext ctx) const {
+  // Traced: observations come from the read set, and the scheduler
+  // records the trace as the tx's dynamic footprint.
+  return run(id, std::move(ctx), nullptr, /*traced=*/true);
+}
+
 bool ContractStore::speculation_current(const SpeculativeCall& spec) const {
-  for (const auto& [cell, seen] : spec.observed) {
-    Word current = 0;
-    auto it = contracts_.find(cell.first);
-    if (it != contracts_.end()) {
-      auto slot = it->second.storage.find(cell.second);
-      if (slot != it->second.storage.end()) current = slot->second;
-    }
-    if (current != seen) return false;
-  }
+  for (const auto& [cell, seen] : spec.observed)
+    if (committed(contracts_, cell.first, cell.second) != seen) return false;
   return true;
 }
 
@@ -200,12 +170,19 @@ void ContractStore::commit_speculation(const SpeculativeCall& spec,
   MC_ASSERT(it != contracts_.end(),
             "committing a speculative call into a missing contract");
   MC_ASSERT(spec.result.ok(), "committing a trapped speculative call");
-  for (const auto& [key, value] : spec.writes) {
-    if (value == 0)
-      it->second.storage.erase(key);  // the VM keeps no zero entries
-    else
-      it->second.storage[key] = value;
+  Storage& storage = it->second.storage;
+  // A contract deployed since the record opened is erased whole on undo;
+  // any other contract's cells keep their first-touch priors.
+  if (open_.created.count(spec.contract_id) == 0) {
+    for (const auto& entry : spec.result.writes) {
+      auto slot = storage.find(entry.first);
+      open_.cells.try_emplace(
+          {spec.contract_id, entry.first},
+          slot == storage.end() ? std::nullopt : std::optional(slot->second));
+    }
   }
+  fold_writes(storage, spec.result.writes);
+  if (!open_.event_count.has_value()) open_.event_count = events_.size();
   for (const Event& event : spec.events) {
     events_.push_back(event);
     if (event_host != nullptr) event_host->on_event(event);
@@ -218,36 +195,11 @@ const DeployedContract* ContractStore::contract(Word id) const {
 }
 
 std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx,
-                                              Host& oracle_host) {
-  auto it = contracts_.find(id);
-  if (it == contracts_.end()) return std::nullopt;
-  ctx.contract_id = id;
-  CapturingHost host(oracle_host, events_, contracts_);
-#if defined(MEDCHAIN_AUDIT)
-  // Audit builds mechanically enforce the analyzer's soundness contract:
-  // record the dynamic footprint/stack of every call and require it to be
-  // contained in the static bounds proven at deployment.
-  ExecTrace trace;
-  ctx.trace = &trace;
-  const ExecResult result =
-      execute(BytesView(it->second.code), it->second.storage, ctx, host);
-  const std::string violation =
-      analysis::soundness_violation(it->second.report, trace, result);
-  MC_DCHECK(violation.empty(),
-            "static analysis soundness contract violated on contract call");
-  const std::string concrete_violation =
-      concretization_check(it->second, ctx, trace);
-  MC_DCHECK(concrete_violation.empty(),
-            "concretized footprint missed a traced cell on contract call");
-  return result;
-#else
-  return execute(BytesView(it->second.code), it->second.storage, ctx, host);
-#endif
-}
-
-std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx) {
-  NullHost null_host;
-  return call(id, std::move(ctx), null_host);
+                                              Host* oracle_host) {
+  auto spec = run(id, std::move(ctx), oracle_host, /*traced=*/false);
+  if (!spec.has_value()) return std::nullopt;
+  if (spec->result.ok()) commit_speculation(*spec, oracle_host);
+  return std::move(spec->result);
 }
 
 std::vector<Event> ContractStore::events_since(std::size_t from_index) const {
@@ -258,23 +210,43 @@ std::vector<Event> ContractStore::events_since(std::size_t from_index) const {
 }
 
 void ContractStore::snapshot(std::uint64_t height) {
-  snapshots_[height] = Snapshot{contracts_, events_.size(), nonce_};
+  open_.height = height;
+  sealed_.push_back(std::move(open_));
+  if (sealed_.size() > kUndoDepth) {
+    floor_ = sealed_.front().height;
+    sealed_.pop_front();
+  }
+  open_ = UndoRecord{};
+}
+
+void ContractStore::undo(const UndoRecord& record) {
+  for (const auto& [key, prior] : record.cells) {
+    Storage& storage = contracts_.at(key.first).storage;
+    if (prior.has_value())
+      storage[key.second] = *prior;
+    else
+      storage.erase(key.second);
+  }
+  for (const Word id : record.created) contracts_.erase(id);
+  if (record.event_count.has_value()) events_.resize(*record.event_count);
+  if (record.nonce.has_value()) nonce_ = *record.nonce;
 }
 
 void ContractStore::rollback_to(std::uint64_t height) {
-  auto it = snapshots_.upper_bound(height);
-  if (it == snapshots_.begin()) {
+  undo(open_);
+  while (!sealed_.empty() && sealed_.back().height > height) {
+    undo(sealed_.back());
+    sealed_.pop_back();
+  }
+  if (sealed_.empty() && floor_ > height) {
+    // Past the retained records: only the fresh store is reachable.
+    MC_ASSERT(height == 0, "contract rollback past the retained undo records");
     contracts_.clear();
     events_.clear();
     nonce_ = 0;
-  } else {
-    --it;
-    contracts_ = it->second.contracts;
-    events_.resize(it->second.event_count);
-    nonce_ = it->second.nonce;
+    floor_ = 0;
   }
-  // Drop snapshots newer than the restore point.
-  snapshots_.erase(snapshots_.upper_bound(height), snapshots_.end());
+  open_ = UndoRecord{};
 }
 
 Hash256 ContractStore::digest() const {

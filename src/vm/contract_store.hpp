@@ -1,4 +1,4 @@
-// Deployed-contract registry: code, storage, event log, snapshots.
+// Deployed-contract registry: code, storage, event log, block undo.
 //
 // One ContractStore exists per blockchain node; since contract execution
 // is deterministic, all honest nodes' stores stay identical — which the
@@ -6,10 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -47,16 +48,13 @@ struct DeployedContract {
   bool uses_oracle = false;
 };
 
-/// One contract call executed speculatively against the committed store
-/// (parallel scheduler, DESIGN.md §13). The store itself is untouched;
-/// `writes` holds the post-image of every key the run stored (value 0
-/// means *erase* — the VM never keeps zero-valued entries), `observed`
-/// the value every read saw (own SLOADs and foreign SXLOADs alike), and
-/// `events` the buffered emissions to append on commit.
+/// One buffered contract run over the committed store (DESIGN.md §13),
+/// applied only by commit_speculation(): `result.writes` is its write-set,
+/// `observed` the value every read saw (own SLOADs and foreign SXLOADs
+/// alike), and `events` the emissions to append on commit.
 struct SpeculativeCall {
   Word contract_id = 0;
   ExecResult result;
-  std::map<Word, Word> writes;                    ///< key -> post value (0 = erase)
   std::map<std::pair<Word, Word>, Word> observed; ///< (contract, key) -> value
   std::vector<Event> events;
   ExecTrace trace;
@@ -81,13 +79,11 @@ class ContractStore {
   [[nodiscard]] bool exists(Word id) const { return contracts_.count(id) > 0; }
   [[nodiscard]] const DeployedContract* contract(Word id) const;
 
-  /// Execute a call into `id`. Events emitted by a successful run are
-  /// appended to the store's event log and forwarded to `oracle_host`.
-  /// Returns nullopt when the contract does not exist.
-  std::optional<ExecResult> call(Word id, ExecContext ctx, Host& oracle_host);
-
-  /// Convenience call with a NullHost (no oracle, events logged only).
-  std::optional<ExecResult> call(Word id, ExecContext ctx);
+  /// Execute a call into `id`: one buffered run, its oracle requests sent
+  /// to `oracle_host` (null fails them), then commit_speculation() if it
+  /// halted ok. Returns nullopt when the contract does not exist.
+  std::optional<ExecResult> call(Word id, ExecContext ctx,
+                                 Host* oracle_host = nullptr);
 
   // --- speculative execution (chain/execution scheduler) ----------------
 
@@ -95,11 +91,9 @@ class ContractStore {
   /// speculative run of it is safe to discard and repeat.
   [[nodiscard]] bool speculable(Word id) const;
 
-  /// Execute a call WITHOUT mutating the store: storage writes, reads and
-  /// events are captured into the returned SpeculativeCall. Oracle use
-  /// traps (speculable() gates it out beforehand); foreign reads are
-  /// served from committed state exactly as call() does. Returns nullopt
-  /// for an unknown contract.
+  /// call()'s buffered run, traced and left uncommitted: the store is not
+  /// mutated, and oracle use traps (speculable() gates it out beforehand).
+  /// Returns nullopt for an unknown contract.
   [[nodiscard]] std::optional<SpeculativeCall> call_speculative(
       Word id, ExecContext ctx) const;
 
@@ -107,9 +101,9 @@ class ContractStore {
   /// value it observed, so replaying it now would reproduce it verbatim.
   [[nodiscard]] bool speculation_current(const SpeculativeCall& spec) const;
 
-  /// Apply a successful speculative run: fold its write-set into the
-  /// contract's storage (0 erases) and append its events, forwarding each
-  /// to `event_host` when non-null (monitor-node parity with call()).
+  /// Apply a successful run: fold its write-set into the contract's
+  /// storage (0 erases) and append its events, forwarding each to
+  /// `event_host` when non-null (monitor-node parity with call()).
   void commit_speculation(const SpeculativeCall& spec,
                           Host* event_host = nullptr);
 
@@ -119,12 +113,21 @@ class ContractStore {
   /// Events with index >= `from_index` (monitor-node polling cursor).
   [[nodiscard]] std::vector<Event> events_since(std::size_t from_index) const;
 
-  /// Capture a snapshot labeled with `height`.
+  /// Sealed undo records kept: every caller rolls back at most the block
+  /// it just applied, or resets with rollback_to(0).
+  static constexpr std::size_t kUndoDepth = 8;
+
+  /// Seal the changes since the previous seal into an undo record labeled
+  /// `height`, dropping the oldest record past kUndoDepth.
   void snapshot(std::uint64_t height);
 
-  /// Restore the newest snapshot labeled <= `height`; with none, resets
-  /// to empty (height 0 == fresh store).
+  /// Restore the state as of the most recent seal labeled <= `height`,
+  /// undoing the records after it newest first; with none, resets to
+  /// empty (height 0 == fresh store). A non-zero height older than the
+  /// retained records is a caller bug (MC_ASSERT).
   void rollback_to(std::uint64_t height);
+
+  [[nodiscard]] std::size_t retained_blocks() const { return sealed_.size(); }
 
   /// Canonical digest over all contracts and storage (cross-node
   /// determinism checks).
@@ -133,16 +136,29 @@ class ContractStore {
   [[nodiscard]] std::size_t size() const { return contracts_.size(); }
 
  private:
-  struct Snapshot {
-    std::map<Word, DeployedContract> contracts;
-    std::size_t event_count = 0;
-    std::uint64_t nonce = 0;
+  /// Undoes the changes since it opened: the first-touch priors of the
+  /// cells written (nullopt = absent), the event count and the nonce, and
+  /// the ids deployed.
+  struct UndoRecord {
+    std::uint64_t height = 0;  ///< label, set when sealed
+    std::map<std::pair<Word, Word>, std::optional<Word>> cells;
+    std::optional<std::size_t> event_count;
+    std::optional<std::uint64_t> nonce;
+    std::set<Word> created;
   };
+
+  /// One buffered run; `oracle` answers ORACLE (null fails it). Audit
+  /// builds trace every run; others only when `traced`.
+  [[nodiscard]] std::optional<SpeculativeCall> run(
+      Word id, ExecContext ctx, Host* oracle, bool traced) const;
+  void undo(const UndoRecord& record);
 
   std::map<Word, DeployedContract> contracts_;  // ordered => stable digest
   std::vector<Event> events_;
   std::uint64_t nonce_ = 0;
-  std::map<std::uint64_t, Snapshot> snapshots_;
+  UndoRecord open_;
+  std::deque<UndoRecord> sealed_;
+  std::uint64_t floor_ = 0;  ///< label of the newest dropped record
   analysis::AdmissionPolicy policy_ = analysis::AdmissionPolicy::strict();
 };
 

@@ -51,10 +51,19 @@ bool code_well_formed(BytesView code) {
   return pc == code.size();
 }
 
-ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
-                   Host& host) {
+void fold_writes(Storage& storage, const WriteSet& writes) {
+  for (const auto& [key, value] : writes) {
+    if (value == 0)
+      storage.erase(key);
+    else
+      storage[key] = value;
+  }
+}
+
+ExecResult execute(BytesView code, const Storage& storage,
+                   const ExecContext& ctx, Host& host) {
   ExecResult result;
-  Storage working = storage;  // all-or-nothing: commit on success
+  WriteSet writes;  // handed out only on success
   std::vector<Word> stack;
   stack.reserve(64);
   std::vector<Event> events;
@@ -66,7 +75,14 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
   const auto trap = [&](Halt h) {
     result.halt = h;
     result.gas_used = std::min(gas, ctx.gas_limit);
-    return result;
+    return std::move(result);
+  };
+  const auto finish = [&](Halt h) {
+    result.writes = std::move(writes);
+    for (const auto& ev : events) host.on_event(ev);
+    result.halt = h;
+    result.gas_used = gas;
+    return std::move(result);
   };
 
   const auto need = [&](std::size_t n) { return stack.size() >= n; };
@@ -97,11 +113,7 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
 
     switch (op) {
       case Op::Stop:
-        storage = std::move(working);
-        for (const auto& ev : events) host.on_event(ev);
-        result.halt = Halt::Stop;
-        result.gas_used = gas;
-        return result;
+        return finish(Halt::Stop);
 
       case Op::Push:
         if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
@@ -219,8 +231,12 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
         if (!need(1)) return trap(Halt::StackUnderflow);
         const Word key = pop();
         if (ctx.trace != nullptr) ctx.trace->reads.insert(key);
-        auto it = working.find(key);
-        stack.push_back(it == working.end() ? 0 : it->second);
+        if (auto w = writes.find(key); w != writes.end()) {
+          stack.push_back(w->second);
+        } else {
+          auto it = storage.find(key);
+          stack.push_back(it == storage.end() ? 0 : it->second);
+        }
         break;
       }
 
@@ -240,10 +256,7 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
         const Word key = pop();
         const Word value = pop();
         if (ctx.trace != nullptr) ctx.trace->writes.insert(key);
-        if (value == 0)
-          working.erase(key);
-        else
-          working[key] = value;
+        writes[key] = value;
         break;
       }
 
@@ -306,11 +319,7 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
         if (!need(n)) return trap(Halt::StackUnderflow);
         result.returned.assign(stack.end() - static_cast<std::ptrdiff_t>(n),
                                stack.end());
-        storage = std::move(working);
-        for (const auto& ev : events) host.on_event(ev);
-        result.halt = Halt::Return;
-        result.gas_used = gas;
-        return result;
+        return finish(Halt::Return);
       }
 
       case Op::Revert:
@@ -322,11 +331,7 @@ ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
   }
 
   // Falling off the end behaves like STOP.
-  storage = std::move(working);
-  for (const auto& ev : events) host.on_event(ev);
-  result.halt = Halt::Stop;
-  result.gas_used = gas;
-  return result;
+  return finish(Halt::Stop);
 }
 
 }  // namespace mc::vm

@@ -28,6 +28,9 @@ inline constexpr std::size_t kMaxStack = 1024;
 /// Contract storage: persistent key/value words.
 using Storage = std::map<Word, Word>;
 
+/// Per-call write-set: key -> post-image, where 0 means *erase*.
+using WriteSet = std::map<Word, Word>;
+
 /// Event appended by EMIT; the off-chain monitor node subscribes to these
 /// (paper Fig. 3: "a monitor node is used to monitor all the related smart
 /// contract events").
@@ -64,6 +67,8 @@ struct ExecResult {
   std::uint64_t gas_used = 0;
   std::uint64_t steps = 0;  ///< instructions retired (energy accounting)
   std::vector<Word> returned;
+  /// Buffered SSTOREs of a run that halted ok; empty after a trap.
+  WriteSet writes;
 
   [[nodiscard]] bool ok() const { return halted_ok(halt); }
 };
@@ -121,11 +126,15 @@ class NullHost : public Host {
   void on_event(const Event&) override {}
 };
 
-/// Execute `code` against `storage`. On any failure halt, storage changes
-/// made during the run are rolled back (all-or-nothing semantics).
-/// Emitted events are delivered to the host only on success.
-ExecResult execute(BytesView code, Storage& storage, const ExecContext& ctx,
-                   Host& host);
+/// Execute `code` over committed `storage`, which the run only reads:
+/// SSTOREs buffer into a write-set that SLOADs consult first, returned
+/// only when the run halts ok (all-or-nothing semantics). Emitted events
+/// are delivered to the host only on success.
+ExecResult execute(BytesView code, const Storage& storage,
+                   const ExecContext& ctx, Host& host);
+
+/// Apply a successful run's write-set to `storage` (0 erases).
+void fold_writes(Storage& storage, const WriteSet& writes);
 
 /// Static bytecode sanity check: opcodes defined, immediates in bounds.
 bool code_well_formed(BytesView code);

@@ -40,11 +40,13 @@ TEST_P(VmFuzz, ArbitraryBytecodeIsSafe) {
     vm::NullHost host;
     const vm::ExecResult result =
         vm::execute(BytesView(code), storage, ctx, host);
+    vm::fold_writes(storage, result.writes);
 
     EXPECT_LE(result.gas_used, ctx.gas_limit);
     EXPECT_LE(result.steps, ctx.step_limit + 1);
     // Failed executions must not leak partial writes.
     if (!result.ok()) {
+      EXPECT_TRUE(result.writes.empty());
       EXPECT_EQ(storage, before);
     }
   }

@@ -1,6 +1,12 @@
-// Contract VM tests: opcodes, traps, gas, assembler, determinism.
+// Contract VM tests: opcodes, traps, gas, assembler, determinism,
+// write-sets and the contract store's block undo records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
+#include "common/rng.hpp"
 #include "vm/assembler.hpp"
 #include "vm/contract_store.hpp"
 #include "vm/vm.hpp"
@@ -18,7 +24,10 @@ ExecResult run(const std::string& source, std::vector<Word> calldata = {},
   ctx.caller = caller;
   ctx.calldata = std::move(calldata);
   NullHost null_host;
-  return execute(BytesView(code), store, ctx, host != nullptr ? *host : null_host);
+  ExecResult result =
+      execute(BytesView(code), store, ctx, host != nullptr ? *host : null_host);
+  fold_writes(store, result.writes);
+  return result;
 }
 
 TEST(Vm, ArithmeticAndReturn) {
@@ -402,6 +411,243 @@ TEST(ContractStore, EventsSinceCursor) {
   EXPECT_EQ(store.events_since(0).size(), 2u);
   EXPECT_EQ(store.events_since(1).size(), 1u);
   EXPECT_EQ(store.events_since(5).size(), 0u);
+}
+
+// --- write-set edge cases ----------------------------------------------
+
+TEST(Vm, SloadReadsTheRunsOwnBufferedWrite) {
+  const Storage committed = {{5, 1}};
+  ExecContext ctx;
+  NullHost host;
+  const auto r = execute(
+      BytesView(assemble("PUSH 9\nPUSH 5\nSSTORE\nPUSH 5\nSLOAD\nRETURN 1")),
+      committed, ctx, host);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.returned.at(0), 9u);
+  EXPECT_EQ(r.writes, (WriteSet{{5, 9}}));
+  EXPECT_EQ(committed.at(5), 1u);  // the run only read committed storage
+}
+
+TEST(Vm, StoringZeroOverCommittedValueReadsZeroAndErasesOnFold) {
+  Storage storage = {{3, 42}, {4, 7}};
+  ExecContext ctx;
+  NullHost host;
+  const auto r = execute(
+      BytesView(assemble("PUSH 0\nPUSH 3\nSSTORE\nPUSH 3\nSLOAD\nRETURN 1")),
+      storage, ctx, host);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.returned.at(0), 0u);
+  EXPECT_EQ(r.writes, (WriteSet{{3, 0}}));
+  fold_writes(storage, r.writes);
+  EXPECT_EQ(storage, (Storage{{4, 7}}));
+}
+
+// Writes calldata[1] to keys 9, 10 and 11, emits it, then reverts when
+// calldata[2] is non-zero.
+constexpr const char* kWriteThenMaybeRevert = R"(
+PUSH 1
+CALLDATALOAD
+PUSH 9
+SSTORE
+PUSH 1
+CALLDATALOAD
+PUSH 10
+SSTORE
+PUSH 1
+CALLDATALOAD
+PUSH 11
+SSTORE
+PUSH 1
+CALLDATALOAD
+PUSH 600
+EMIT 1
+PUSH 2
+CALLDATALOAD
+JUMPI @fail
+STOP
+fail:
+REVERT
+)";
+
+TEST(ContractStore, TrapAfterWritesLeavesDigestAndEventsBitIdentical) {
+  ContractStore store;
+  const Word id = store.deploy(assemble(kWriteThenMaybeRevert), 1, 1);
+  ExecContext ctx;
+  ctx.calldata = {0, 5, 0};
+  ASSERT_TRUE(store.call(id, ctx)->ok());
+  store.snapshot(1);
+  const Hash256 digest = store.digest();
+  const std::size_t events = store.events().size();
+  ASSERT_EQ(events, 1u);
+
+  // Erasing (0) and overwriting (77) runs, both trapping after 3 writes.
+  for (const Word value : {Word{0}, Word{77}}) {
+    ctx.calldata = {0, value, 1};
+    const auto r = store.call(id, ctx);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->halt, Halt::Revert);
+    EXPECT_TRUE(r->writes.empty());
+    EXPECT_EQ(store.digest(), digest);
+    EXPECT_EQ(store.events().size(), events);
+
+    const auto spec = store.call_speculative(id, ctx);
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_FALSE(spec->result.ok());
+    EXPECT_TRUE(spec->result.writes.empty());
+  }
+  EXPECT_EQ(store.contract(id)->storage, (Storage{{9, 5}, {10, 5}, {11, 5}}));
+}
+
+// --- block undo records ----------------------------------------------------
+
+// Counter: storage[calldata[1]] += 1 (an SLOAD-dependent write).
+constexpr const char* kCounter = R"(
+PUSH 1
+CALLDATALOAD
+SLOAD
+PUSH 1
+ADD
+PUSH 1
+CALLDATALOAD
+SSTORE
+STOP
+)";
+
+TEST(ContractStore, RetainedUndoRecordsStayBounded) {
+  ContractStore store;
+  const Word id = store.deploy(assemble(kWriteThenMaybeRevert), 1, 1);
+  ExecContext ctx;
+  const std::uint64_t blocks = 100;
+  std::map<std::uint64_t, Hash256> sealed;
+  for (std::uint64_t h = 1; h <= blocks; ++h) {
+    ctx.calldata = {0, h, 0};
+    ASSERT_TRUE(store.call(id, ctx)->ok());
+    store.snapshot(h);
+    sealed[h] = store.digest();
+    EXPECT_LE(store.retained_blocks(), ContractStore::kUndoDepth);
+  }
+  EXPECT_EQ(store.retained_blocks(), ContractStore::kUndoDepth);
+
+  // The oldest retained record still undoes to its seal, and undoing it
+  // too reaches the newest dropped seal.
+  const std::uint64_t oldest = blocks - ContractStore::kUndoDepth + 1;
+  store.rollback_to(oldest);
+  EXPECT_EQ(store.digest(), sealed[oldest]);
+  store.rollback_to(oldest - 1);
+  EXPECT_EQ(store.digest(), sealed[oldest - 1]);
+  EXPECT_EQ(store.retained_blocks(), 0u);
+
+  store.rollback_to(0);  // past the window: fresh store
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.events().empty());
+  EXPECT_EQ(store.digest(), ContractStore{}.digest());
+}
+
+TEST(ContractStore, RandomHistoriesRollBackToSealedStates) {
+  const Bytes writer = assemble(kWriteThenMaybeRevert);
+  const Bytes counter = assemble(kCounter);
+  const Bytes probe = assemble("PUSH 1\nPOP\nSTOP");
+  constexpr Word kProbeDeployer = 0xfeed;
+
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    ContractStore store;
+    struct Seal {
+      std::uint64_t height;
+      Hash256 digest;
+      std::size_t events;
+      Word next_id;
+    };
+    std::vector<Seal> seals;  // oldest first, none rolled back past
+    std::size_t retained = 0;  // model of store.retained_blocks()
+    std::vector<Word> ids;
+    std::uint64_t height = 0;
+
+    const auto random_ctx = [&] {
+      ExecContext ctx;
+      ctx.calldata = {0, rng.uniform(6), rng.uniform(4) == 0 ? 1u : 0u};
+      return ctx;
+    };
+    const auto live_id = [&]() -> std::optional<Word> {
+      std::vector<Word> live;
+      for (const Word id : ids)
+        if (store.exists(id)) live.push_back(id);
+      if (live.empty()) return std::nullopt;
+      return live[rng.uniform(live.size())];
+    };
+    // Deploy the probe, note its id, and undo the deploy again.
+    const auto probe_id = [&](std::uint64_t label) {
+      const Word id = store.deploy(probe, kProbeDeployer, label);
+      store.rollback_to(label);
+      return id;
+    };
+    const auto expect_at = [&](const Seal& seal) {
+      EXPECT_EQ(store.digest(), seal.digest) << "seed " << seed;
+      EXPECT_EQ(store.events().size(), seal.events) << "seed " << seed;
+      EXPECT_EQ(probe_id(seal.height), seal.next_id) << "seed " << seed;
+      EXPECT_EQ(store.digest(), seal.digest) << "seed " << seed;
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      switch (rng.uniform(8)) {
+        case 0:
+          ids.push_back(store.deploy(rng.uniform(2) == 0 ? writer : counter,
+                                     1 + rng.uniform(3), height + 1));
+          break;
+        case 1:
+        case 2:
+          if (auto id = live_id()) store.call(*id, random_ctx());
+          break;
+        case 3:
+        case 4: {
+          // Speculate, let a direct call interleave, commit if current.
+          auto id = live_id();
+          if (!id) break;
+          const auto spec = store.call_speculative(*id, random_ctx());
+          if (rng.uniform(2) == 0) store.call(*id, random_ctx());
+          if (spec->result.ok() && store.speculation_current(*spec))
+            store.commit_speculation(*spec);
+          break;
+        }
+        case 5:
+        case 6: {
+          store.snapshot(++height);
+          retained = std::min(retained + 1, ContractStore::kUndoDepth);
+          EXPECT_EQ(store.retained_blocks(), retained);
+          Seal seal{height, store.digest(), store.events().size(), 0};
+          seal.next_id = probe_id(height);
+          EXPECT_EQ(store.digest(), seal.digest);
+          seals.push_back(seal);
+          break;
+        }
+        default: {
+          if (seals.empty() || rng.uniform(10) == 0) {
+            store.rollback_to(0);
+            EXPECT_EQ(store.size(), 0u);
+            EXPECT_TRUE(store.events().empty());
+            seals.clear();
+            retained = 0;
+            height = 0;
+            break;
+          }
+          // Any reachable seal: a retained record's, or the newest
+          // dropped one's (undoing every retained record reaches it).
+          const std::size_t window = std::min(seals.size(), retained + 1);
+          const Seal target =
+              seals[seals.size() - 1 - rng.uniform(window)];
+          store.rollback_to(target.height);
+          expect_at(target);
+          while (seals.back().height > target.height) {
+            seals.pop_back();
+            --retained;
+          }
+          EXPECT_EQ(store.retained_blocks(), retained);
+          height = target.height;
+          break;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

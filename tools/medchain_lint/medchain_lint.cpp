@@ -45,6 +45,10 @@
 //                            apply blocks in place under the state's
 //                            undo journal, so an O(state) copy per
 //                            block must not creep back (DESIGN.md §16).
+//   storage-copy             copying a vm::Storage by value is banned —
+//                            contract runs read committed storage and
+//                            buffer a write-set, so an O(storage) copy
+//                            per call must not creep back (DESIGN.md §13).
 //
 // Escape hatch: `// medchain-lint: allow(<rule>[, <rule>...])` on the
 // offending line or the line directly above it; `allow-file(<rule>)`
@@ -107,6 +111,9 @@ constexpr Rule kRules[] = {
     {"state-copy",
      "checkpoint()/revert() only - a by-value WorldState copy outside "
      "chain/state and audit/ costs O(state) per use"},
+    {"storage-copy",
+     "write-sets and fold_writes() only - a by-value vm::Storage copy "
+     "costs O(storage) per contract call"},
 };
 
 bool is_known_rule(std::string_view name) {
@@ -340,17 +347,17 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// Matches a WorldState copied by value: a declaration initialized from
-/// an existing object (`WorldState next = state_;`, `WorldState s{x};`,
-/// `WorldState s(x);`) or a by-value parameter (`WorldState s,` /
-/// `WorldState s)`). Moves, references, pointers, default-constructed
-/// states and functions returning a WorldState do not fire.
-const char* check_state_copy(std::string_view line) {
-  constexpr std::string_view kType = "WorldState";
+/// Matches an object of type `type` copied by value: a declaration
+/// initialized from an existing object (`WorldState next = state_;`,
+/// `WorldState s{x};`, `WorldState s(x);`) or a by-value parameter
+/// (`WorldState s,` / `WorldState s)`). Moves, references, pointers,
+/// default-constructed objects and functions returning the type do not
+/// fire. Shared core of the state-copy and storage-copy rules.
+bool copies_by_value(std::string_view line, std::string_view type) {
   std::size_t at = 0;
-  while ((at = line.find(kType, at)) != std::string_view::npos) {
+  while ((at = line.find(type, at)) != std::string_view::npos) {
     const std::size_t start = at;
-    at += kType.size();
+    at += type.size();
     if ((start > 0 && is_word(line[start - 1])) ||
         (at < line.size() && is_word(line[at])))
       continue;  // part of a longer identifier
@@ -363,7 +370,7 @@ const char* check_state_copy(std::string_view line) {
     while (i < line.size() && line[i] == ' ') ++i;
     if (i >= line.size()) continue;
     const char c = line[i];
-    if (c == ',' || c == ')') return "WorldState parameter by value";
+    if (c == ',' || c == ')') return true;  // parameter by value
     std::string_view init;
     if (c == '=' && (i + 1 >= line.size() || line[i + 1] != '=')) {
       init = trim(line.substr(i + 1));
@@ -382,11 +389,20 @@ const char* check_state_copy(std::string_view line) {
     }
     init = trim(init);
     if (init.empty() || init == "{}" || init.rfind("std::move(", 0) == 0 ||
-        init.rfind("WorldState{", 0) == 0 || init.rfind("WorldState(", 0) == 0)
+        init.rfind(std::string(type) + "{", 0) == 0 ||
+        init.rfind(std::string(type) + "(", 0) == 0)
       continue;
-    return "WorldState copy";
+    return true;
   }
-  return nullptr;
+  return false;
+}
+
+const char* check_state_copy(std::string_view line) {
+  return copies_by_value(line, "WorldState") ? "WorldState copy" : nullptr;
+}
+
+const char* check_storage_copy(std::string_view line) {
+  return copies_by_value(line, "Storage") ? "Storage copy" : nullptr;
 }
 
 /// Heuristic declaration finder for decode*/verify* in headers. A match
@@ -481,6 +497,7 @@ bool rule_applies(std::string_view rule, const std::string& rel,
   if (rule == "state-copy")
     return rel != "chain/state.hpp" && rel != "chain/state.cpp" &&
            !in_dir(rel, "audit/");
+  if (rule == "storage-copy") return true;
   return false;
 }
 
@@ -554,6 +571,7 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
     report("state-direct-apply", check_state_direct_apply(stripped));
     report("footprint-bypass", check_footprint_bypass(stripped));
     report("state-copy", check_state_copy(stripped));
+    report("storage-copy", check_storage_copy(stripped));
 
     prev_allows = line_allows;
     prev_stripped = stripped;

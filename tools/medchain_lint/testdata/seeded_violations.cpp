@@ -66,6 +66,22 @@ void adopt_by_move(WorldState&& new_state, int height);  // must not fire
 WorldState build_state(const ChainParams& params);  // returns: must not fire
 std::optional<WorldState> replay(const Path& path);  // must not fire
 
+void storage_copy_violations(const DeployedContract& dc, const Storage& s) {
+  Storage working = dc.storage;             // expect(storage-copy)
+  vm::Storage scratch{s};                   // expect(storage-copy)
+  Storage before(dc.storage);               // expect(storage-copy)
+  Storage fresh;                            // empty storage: must not fire
+  Storage moved = std::move(working);       // move: must not fire
+  const vm::Storage& view = dc.storage;     // reference: must not fire
+  Storage& sink = moved;                    // reference: must not fire
+  (void)scratch; (void)before; (void)fresh; (void)view; (void)sink;
+}
+
+void fold_into(Storage storage, const WriteSet& writes);  // expect(storage-copy)
+void fold_in_place(Storage& storage, const WriteSet& writes);  // must not fire
+ExecResult execute(BytesView code, const Storage& storage);  // must not fire
+using Storage = std::map<Word, Word>;       // alias: must not fire
+
 void suppressed_lines() {
   // Justification: fixture proves the escape hatch suppresses a match.
   int r = rand();  // medchain-lint: allow(determinism-random)
