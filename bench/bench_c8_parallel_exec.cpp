@@ -7,14 +7,12 @@
 // worker count grows on a contract-heavy, low-conflict workload,
 // (b) how the realized parallelism degrades as a rising fraction of
 // calls targets one hot contract (conflict rate → serialization), and
-// (c) what the symbolic per-selector footprint summaries buy on a
-// param-keyed per-patient workload (A/B: summaries on vs off).
+// (c) the schedule the symbolic per-selector footprint summaries admit
+// on a param-keyed per-patient workload.
 //
 // Pass --quick for the CI smoke variant (smaller chain, fewer sweep
-// points), --sequential to run only the sequential baseline (the A/B
-// control: identical workload, workers = 1), and --no-symbolic to
-// schedule C8a/C8b with symbolic concretization disabled (the
-// Param-as-unbounded baseline the summaries replaced).
+// points) and --sequential to run only the sequential baseline (the A/B
+// control: identical workload, workers = 1).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -36,7 +34,6 @@ using namespace mc;
 
 bool g_quick = false;
 bool g_sequential_only = false;
-bool g_no_symbolic = false;
 
 // Mixer contract: selector 1 runs calldata[1] rounds of an LCG/xorshift
 // mix over calldata[2] and folds the result into storage[1]. The loop
@@ -221,8 +218,7 @@ struct RunResult {
   chain::exec::BlockExecMetrics metrics;
 };
 
-RunResult replay(const Workload& w, std::size_t workers, ThreadPool* pool,
-                 bool symbolic) {
+RunResult replay(const Workload& w, std::size_t workers, ThreadPool* pool) {
   vm::ContractStore store;
   chain::VmExecutionHook hook(store);
   chain::exec::BlockExecutor executor(w.params, &hook);
@@ -230,7 +226,6 @@ RunResult replay(const Workload& w, std::size_t workers, ThreadPool* pool,
     chain::exec::ExecutionConfig cfg;
     cfg.workers = workers;
     cfg.pool = pool;
-    cfg.symbolic_footprints = symbolic;
     executor.set_config(cfg);
   }
   chain::WorldState state;
@@ -268,7 +263,7 @@ void speedup_vs_workers(const Workload& w) {
   double base_ms = 0;
   for (const std::size_t workers : worker_counts) {
     ThreadPool pool(workers > 1 ? workers : 1);
-    const RunResult r = replay(w, workers, &pool, !g_no_symbolic);
+    const RunResult r = replay(w, workers, &pool);
     if (workers == 1) base_ms = r.millis;
     table.row()
         .cell(workers)
@@ -305,8 +300,8 @@ void parallelism_vs_conflict(std::size_t user_count,
     const Workload w = build_workload(user_count, contract_count,
                                       block_count, txs_per_block, hot);
     ThreadPool pool(4);
-    const RunResult seq = replay(w, 1, nullptr, !g_no_symbolic);
-    const RunResult par = replay(w, 4, &pool, !g_no_symbolic);
+    const RunResult seq = replay(w, 1, nullptr);
+    const RunResult par = replay(w, 4, &pool);
     // Conflict rate: DAG edges per tx pair, over the whole replay.
     const double pairs =
         static_cast<double>(w.total_txs) *
@@ -388,41 +383,33 @@ Workload build_patient_workload(std::size_t user_count,
   return w;
 }
 
-void symbolic_footprints_ab(std::size_t patient_count,
-                            std::size_t block_count,
-                            std::size_t txs_per_block) {
-  banner(
-      "C8c: symbolic summaries A/B on a param-keyed per-patient workload");
+void per_patient_workload(std::size_t patient_count, std::size_t block_count,
+                          std::size_t txs_per_block) {
+  banner("C8c: symbolic summaries on a param-keyed per-patient workload");
   const Workload w =
       build_patient_workload(patient_count, block_count, txs_per_block);
-  const RunResult seq = replay(w, 1, nullptr, /*symbolic=*/true);
-  Table table({"summaries", "conflict_rate", "time_ms", "speedup", "ideal",
-               "avg_wave", "waves"});
+  const RunResult seq = replay(w, 1, nullptr);
+  ThreadPool pool(4);
+  const RunResult par = replay(w, 4, &pool);
   const double pairs =
       static_cast<double>(w.total_txs) *
       static_cast<double>(txs_per_block > 1 ? txs_per_block - 1 : 1) / 2.0;
-  for (const bool symbolic : {false, true}) {
-    ThreadPool pool(4);
-    const RunResult par = replay(w, 4, &pool, symbolic);
-    table.row()
-        .cell(symbolic ? "on" : "off")
-        .cell(pairs > 0
-                  ? static_cast<double>(par.metrics.dag_edges) / pairs
-                  : 0.0,
-              3)
-        .cell(par.millis, 1)
-        .cell(seq.millis / par.millis, 2)
-        .cell(par.metrics.ideal_speedup(), 2)
-        .cell(par.metrics.avg_wave_width(), 2)
-        .cell(par.metrics.waves);
-  }
+  Table table({"conflict_rate", "time_ms", "speedup", "ideal", "avg_wave",
+               "waves"});
+  table.row()
+      .cell(pairs > 0 ? static_cast<double>(par.metrics.dag_edges) / pairs
+                      : 0.0,
+            3)
+      .cell(par.millis, 1)
+      .cell(seq.millis / par.millis, 2)
+      .cell(par.metrics.ideal_speedup(), 2)
+      .cell(par.metrics.avg_wave_width(), 2)
+      .cell(par.metrics.waves);
   table.print();
   std::puts(
       "\nIdentical blocks, one shared contract, storage key\n"
-      "H(7, calldata[3]) = the tx's patient id. `off` schedules with the\n"
-      "Param-as-unbounded footprint of the pre-symbolic analyzer: every\n"
-      "call pair conflicts and the DAG is a chain. `on` concretizes the\n"
-      "per-selector symbolic summary against each tx's calldata, the\n"
+      "H(7, calldata[3]) = the tx's patient id. The scheduler concretizes\n"
+      "the per-selector symbolic summary against each tx's calldata, the\n"
       "cells come out disjoint, and conflict_rate collapses to the\n"
       "ledger-only residue — ideal approaches the low-conflict ceiling\n"
       "of C8a at the same worker count.");
@@ -434,7 +421,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) g_quick = true;
     if (std::strcmp(argv[i], "--sequential") == 0) g_sequential_only = true;
-    if (std::strcmp(argv[i], "--no-symbolic") == 0) g_no_symbolic = true;
   }
   std::printf("== bench_c8_parallel_exec: conflict-DAG wave scheduler%s%s ==\n",
               g_quick ? " (quick)" : "",
@@ -456,7 +442,7 @@ int main(int argc, char** argv) {
   speedup_vs_workers(low_conflict);
   if (!g_sequential_only) {
     parallelism_vs_conflict(users, contracts, g_quick ? 6 : 16, txs);
-    symbolic_footprints_ab(users, g_quick ? 6 : 12, txs);
+    per_patient_workload(users, g_quick ? 6 : 12, txs);
   }
   return 0;
 }

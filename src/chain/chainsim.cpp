@@ -184,12 +184,6 @@ ChainSimReport run_chain_sim(const ChainSimConfig& config) {
                                      std::to_string(config.seed));
     world.nodes.push_back(std::make_unique<Node>(key, params, genesis));
     world.nodes.back()->set_validator(&world.validator);
-    if (config.exec_workers > 1) {
-      exec::ExecutionConfig ec;
-      ec.workers = config.exec_workers;
-      ec.pool = &world.pool;
-      world.nodes.back()->set_execution(ec);
-    }
     world.stakes.bond(crypto::address_of(key.pub), 100);
   }
 
@@ -239,19 +233,7 @@ ChainSimReport run_chain_sim(const ChainSimConfig& config) {
     // Idle is charged for the span the simulation was actually live, not
     // the full sim_limit_s horizon run() fast-forwards the clock to.
     world.meter.charge_idle(i, world.queue.last_event_at());
-
-    const exec::BlockExecMetrics& em = world.nodes[i]->executor().metrics();
-    report.exec_waves += em.waves;
-    report.exec_parallel_txs += em.parallel_txs;
-    report.exec_sequential_txs += em.sequential_txs;
-    report.exec_aborts += em.aborts;
   }
-  report.exec_avg_wave_width =
-      report.exec_waves > 0
-          ? static_cast<double>(report.exec_parallel_txs +
-                                report.exec_aborts) /
-                static_cast<double>(report.exec_waves)
-          : 0;
   // Hash energy was charged during mining events; recover attempt count.
   report.total_hash_attempts = static_cast<std::uint64_t>(
       world.meter.total_hash() / config.energy.joules_per_hash);
@@ -277,8 +259,7 @@ ChainSimReport run_chain_sim(const ChainSimConfig& config) {
         chain_conflicts.merge(analyze_block_conflicts(
             *block, [&](const Transaction& tx) {
               return exec::scheduling_footprint(tx, store,
-                                                block->header.height,
-                                                /*symbolic=*/true);
+                                                block->header.height);
             }));
     }
     report.conflict_pairs = chain_conflicts.pairs;

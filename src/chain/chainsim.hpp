@@ -39,10 +39,6 @@ struct ChainSimConfig {
   /// Aggregated Schnorr batch verification in the shared BlockValidator
   /// (identical verdicts either way; off = per-tx verify, for A/B timing).
   bool batch_verify = true;
-  /// Conflict-DAG wave-parallel block execution on every node, fanned
-  /// across the shared sim pool (> 1 enables it; results are identical
-  /// to sequential — the exec_* report columns show realized overlap).
-  std::size_t exec_workers = 1;
 };
 
 struct ChainSimReport {
@@ -70,14 +66,6 @@ struct ChainSimReport {
   std::size_t conflict_conflicting_pairs = 0;
   std::size_t conflict_unbounded_txs = 0;
   double conflict_rate = 0;
-
-  // Realized parallel execution (summed over every node's BlockExecutor;
-  // all zero when exec_workers <= 1).
-  std::uint64_t exec_waves = 0;
-  std::uint64_t exec_parallel_txs = 0;    ///< committed straight from waves
-  std::uint64_t exec_sequential_txs = 0;  ///< commit-slot executions
-  std::uint64_t exec_aborts = 0;          ///< stale speculations re-run
-  double exec_avg_wave_width = 0;
 
   // Network + energy.
   std::uint64_t gossip_messages = 0;

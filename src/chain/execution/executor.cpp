@@ -10,27 +10,14 @@
 
 namespace mc::chain::exec {
 
-namespace {
-
-void record_anchor_of(const Transaction& tx, Height height, WorldState& state) {
-  Hash256 digest;
-  std::copy(tx.payload.begin(), tx.payload.end(), digest.data.begin());
-  state.record_anchor(tx.from, digest, height);
-}
-
-}  // namespace
-
-/// Per-transaction speculation outcome of one wave.
+/// Per-transaction outcome of one wave: only contract calls do wave work.
 struct BlockExecutor::TxSlot {
   bool executed = false;
   /// Deploy (store-nonce serialization) or non-speculable Call: run at
   /// the commit slot through the hook instead.
   bool needs_commit_exec = false;
-  bool ledger_ok = false;
-  Gas exec_gas = 0;
-  Gas gas_used = 0;
-  std::string error;
-  std::optional<StateOverlay> overlay;
+  /// A Call's speculative run; empty for ledger-only txs, whose whole
+  /// effect is applied at the commit slot.
   std::optional<SpeculativeRun> run;
 };
 
@@ -40,8 +27,16 @@ BlockExecResult BlockExecutor::execute_block(WorldState& state,
                                              bool sigs_prechecked) {
   BlockExecResult out;
   ++metrics_.blocks;
-  const bool parallel = config_.workers > 1 && config_.pool != nullptr &&
-                        block.txs.size() > 1;
+  // Waves only pay off for contract calls; any other block (transfers,
+  // anchors, deploys) runs the sequential path with no scheduling work.
+  const auto is_call = [](const Transaction& tx) {
+    return tx.kind == TxKind::Call;
+  };
+  const bool parallel =
+      config_.workers > 1 && config_.pool != nullptr &&
+      block.txs.size() > 1 && hook_ != nullptr &&
+      hook_->speculation() != nullptr &&
+      std::any_of(block.txs.begin(), block.txs.end(), is_call);
   out.ok = parallel
                ? run_parallel(state, block, receipts, sigs_prechecked, out)
                : run_sequential(state, block, receipts, sigs_prechecked, out);
@@ -58,8 +53,9 @@ bool BlockExecutor::run_sequential(WorldState& state, const Block& block,
                                    BlockExecResult& out) {
   for (std::size_t i = 0; i < block.txs.size(); ++i) {
     ++out.txs_seen;
-    if (!commit_slot_execute(state, block, i, receipts, sigs_prechecked,
-                             /*record_footprint=*/false, out))
+    if (!commit_slot_execute(state, block, i, /*validated=*/nullptr,
+                             /*record_footprint=*/false, receipts,
+                             sigs_prechecked, out))
       return false;
     ++metrics_.sequential_txs;
     ++metrics_.critical_ticks;
@@ -69,9 +65,10 @@ bool BlockExecutor::run_sequential(WorldState& state, const Block& block,
 
 bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
                                         std::size_t i,
+                                        const SpeculativeRun* validated,
+                                        bool record_footprint,
                                         std::vector<TxReceipt>* receipts,
                                         bool sigs_prechecked,
-                                        bool record_footprint,
                                         BlockExecResult& out) {
   const Transaction& tx = block.txs[i];
   const Height height = block.header.height;
@@ -79,21 +76,24 @@ bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
   if (hook_ != nullptr &&
       (tx.kind == TxKind::Call || tx.kind == TxKind::Deploy)) {
     ContractSpeculation* spec = hook_->speculation();
-    std::optional<SpeculativeRun> run;
-    if (tx.kind == TxKind::Call && spec != nullptr)
-      run = spec->speculate(tx, height);
-    if (run.has_value()) {
-      // Commit-point speculation IS sequential execution: all earlier txs
-      // have committed, so the run is exact and committing it mirrors a
-      // direct store call — and yields the dynamic footprint for free.
-      if (!run->ok()) {
-        out.error = run->error();
+    // Commit-point speculation IS sequential execution: all earlier txs
+    // have committed, so the run is exact and committing it mirrors a
+    // direct store call — and yields the dynamic footprint for free.
+    std::optional<SpeculativeRun> fresh;
+    if (validated == nullptr && tx.kind == TxKind::Call && spec != nullptr) {
+      fresh = spec->speculate(tx, height);
+      if (fresh.has_value()) validated = &*fresh;
+    }
+    if (validated != nullptr) {
+      if (!validated->ok()) {
+        out.error = validated->error();
         return false;
       }
-      exec_gas = run->gas();
-      spec->commit(*run);
+      exec_gas = validated->gas();
+      spec->commit(*validated);
       if (record_footprint)
-        provider_.record(tx, run->call.contract_id, run->call.trace);
+        provider_.record(tx, validated->call.contract_id,
+                         validated->call.trace);
     } else {
       try {
         exec_gas = hook_->execute(tx, height);
@@ -115,7 +115,11 @@ bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
   if (receipts != nullptr)
     receipts->push_back(TxReceipt{tx.id(), height, applied.gas_used,
                                   static_cast<std::uint32_t>(i)});
-  if (tx.kind == TxKind::Anchor) record_anchor_of(tx, height, state);
+  if (tx.kind == TxKind::Anchor) {
+    Hash256 digest;
+    std::copy(tx.payload.begin(), tx.payload.end(), digest.data.begin());
+    state.record_anchor(tx.from, digest, height);
+  }
   return true;
 }
 
@@ -124,9 +128,8 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
                                  bool sigs_prechecked, BlockExecResult& out) {
   const std::size_t n = block.txs.size();
   const Height height = block.header.height;
-  ContractSpeculation* spec =
-      hook_ != nullptr ? hook_->speculation() : nullptr;
-  provider_.set_store(spec != nullptr ? spec->store() : nullptr);
+  const ContractSpeculation* spec = hook_->speculation();
+  provider_.set_store(spec->store());
 
   // Warm the tx id memoization single-threaded: receipts, footprint
   // recording and signature checks all consult it, and first-call caching
@@ -151,61 +154,36 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
     for (std::size_t j = cursor; j < n; ++j) {
       if (slots[j].executed) continue;
       const auto& preds = dag.preds[j];
-      if (preds.empty() || preds.back() < cursor)
+      if (preds.empty() || preds.back() < cursor) {
         wave.push_back(static_cast<std::uint32_t>(j));
+        slots[j].executed = true;
+      }
     }
     MC_ASSERT(!wave.empty(), "wave scheduler stalled with txs uncommitted");
     ++metrics_.waves;
     metrics_.max_wave_width = std::max(metrics_.max_wave_width, wave.size());
 
-    // Execute phase: state and store are frozen (const) for the whole
-    // wave; each worker writes only its own slot. The pool join below is
-    // the barrier that lets the commit phase mutate them again.
-    config_.pool->parallel_for(wave.size(), [&](std::size_t k) {
-      const std::uint32_t j = wave[k];
-      TxSlot& s = slots[j];
-      const Transaction& tx = block.txs[j];
-      s.executed = true;
-      if (hook_ != nullptr &&
-          (tx.kind == TxKind::Call || tx.kind == TxKind::Deploy)) {
-        if (tx.kind == TxKind::Call && spec != nullptr) {
-          s.run = spec->speculate(tx, height);
-          if (!s.run.has_value()) {
+    // Execute phase: the contract store is frozen (const) for the whole
+    // wave and the ledger is never touched; each worker writes only its
+    // own slot. The pool join below is the barrier that lets the commit
+    // phase mutate them again.
+    config_.pool->parallel_for(
+        wave.size(), [&slots, &wave, &block, spec, height](std::size_t k) {
+          TxSlot& s = slots[wave[k]];
+          const Transaction& tx = block.txs[wave[k]];
+          if (tx.kind == TxKind::Deploy) {
             s.needs_commit_exec = true;
-            return;
+          } else if (tx.kind == TxKind::Call) {
+            s.run = spec->speculate(tx, height);
+            s.needs_commit_exec = !s.run.has_value();
           }
-          s.exec_gas = s.run->gas();
-          if (!s.run->ok()) {
-            // Mirrors the sequential hook throw; the ledger side never
-            // runs. Confirmed or refuted at the commit slot.
-            s.error = s.run->error();
-            return;
-          }
-        } else {
-          s.needs_commit_exec = true;
-          return;
-        }
-      }
-      s.overlay.emplace(state);
-      const ApplyResult applied = s.overlay->apply(
-          tx, block.header.proposer, params_, s.exec_gas,
-          /*credit_recipient=*/true, sigs_prechecked);
-      s.ledger_ok = applied.ok;
-      s.gas_used = applied.gas_used;
-      if (!applied.ok)
-        s.error = applied.error;
-      else if (tx.kind == TxKind::Anchor)
-        s.overlay->record_anchor(tx.from, [&] {
-          Hash256 digest;
-          std::copy(tx.payload.begin(), tx.payload.end(), digest.data.begin());
-          return digest;
-        }(), height);
-    });
+        });
 
-    // Only slots that actually speculated cost wave time; a tx punted to
-    // needs_commit_exec returns immediately and is charged one tick at
-    // its commit slot instead (so an all-deploy wave prices like the
-    // sequential path it effectively is).
+    // Every slot that did not punt to the commit slot costs wave time,
+    // ledger-only txs included (the schedule prices a uniform per-tx
+    // cost); a needs_commit_exec tx is charged one tick at its commit
+    // slot instead (so an all-deploy wave prices like the sequential
+    // path it effectively is).
     std::size_t speculated = 0;
     for (const std::uint32_t j : wave)
       if (!slots[j].needs_commit_exec) ++speculated;
@@ -213,57 +191,26 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
         (speculated + config_.workers - 1) / config_.workers;
 
     // Commit phase (single-threaded): advance the cursor through every
-    // consecutively-executed slot in strict block order, validating each
-    // speculation at its own commit slot.
+    // consecutively-executed slot in strict block order. A run whose
+    // observed contract cells all still hold is exactly what sequential
+    // execution would produce here; a stale one is re-run at its slot.
     while (cursor < n && slots[cursor].executed) {
-      TxSlot& s = slots[cursor];
-      const Transaction& tx = block.txs[cursor];
+      const TxSlot& s = slots[cursor];
       ++out.txs_seen;
-
-      if (s.needs_commit_exec) {
-        ++metrics_.sequential_txs;
-        ++metrics_.critical_ticks;
-        if (!commit_slot_execute(state, block, cursor, receipts,
-                                 sigs_prechecked, fps[cursor].unbounded, out))
-          return false;
-        ++cursor;
-        continue;
-      }
-
-      // Validation: every ledger account and contract cell this tx
-      // observed must still hold its observed value — then the buffered
-      // effects equal what sequential execution at this point produces.
-      bool current = true;
-      if (s.overlay.has_value() && !state.reflects(*s.overlay))
-        current = false;
-      if (current && s.run.has_value() && !spec->still_current(*s.run))
-        current = false;
-      if (!current) {
+      const bool stale = s.run.has_value() && !spec->still_current(*s.run);
+      if (s.needs_commit_exec) ++metrics_.sequential_txs;
+      if (stale) {
         ++metrics_.aborts;
         ++metrics_.reruns;
-        ++metrics_.critical_ticks;
-        if (!commit_slot_execute(state, block, cursor, receipts,
-                                 sigs_prechecked, fps[cursor].unbounded, out))
-          return false;
-        ++cursor;
-        continue;
       }
-
-      // Speculation validated: the verdict is final.
-      if ((s.run.has_value() && !s.run->ok()) || !s.ledger_ok) {
-        out.error = s.error;
+      if (s.needs_commit_exec || stale) ++metrics_.critical_ticks;
+      const SpeculativeRun* validated =
+          s.run.has_value() && !stale ? &*s.run : nullptr;
+      if (!commit_slot_execute(state, block, cursor, validated,
+                               fps[cursor].unbounded, receipts,
+                               sigs_prechecked, out))
         return false;
-      }
-      if (s.run.has_value()) spec->commit(*s.run);
-      state.commit(*s.overlay);
-      ++metrics_.parallel_txs;
-      out.gas_used += s.gas_used;
-      ++out.txs_applied;
-      if (receipts != nullptr)
-        receipts->push_back(TxReceipt{tx.id(), height, s.gas_used,
-                                      static_cast<std::uint32_t>(cursor)});
-      if (s.run.has_value() && fps[cursor].unbounded)
-        provider_.record(tx, s.run->call.contract_id, s.run->call.trace);
+      if (!s.needs_commit_exec && !stale) ++metrics_.parallel_txs;
       ++cursor;
     }
   }

@@ -1,15 +1,19 @@
 // BlockExecutor: the block execution pipeline (DESIGN.md §13).
 //
 // Extracted from Node::apply_block, now layered: footprint provider →
-// dependency DAG → wave scheduler. With workers <= 1 (or no pool) it runs
-// the exact sequential path. With workers > 1 it executes conflict-free
-// waves across the ThreadPool, each tx speculating into a StateOverlay
-// (ledger) and a SpeculativeCall (contracts) against frozen committed
-// state, then commits single-threaded in strict block order, validating
-// each tx's observation set at its commit slot and re-running it
-// sequentially on any mismatch. Final state, receipts, events and the
-// accept/reject verdict are bit-identical to sequential execution —
-// ChainAuditor::audit_parallel_execution enforces exactly that.
+// dependency DAG → wave scheduler. A block takes the wave path only when
+// workers > 1, a pool is set, the hook offers speculation and the block
+// holds more than one tx, at least one of them a contract Call; every
+// other block runs the exact sequential path. On the wave path workers
+// speculate contract Calls (SpeculativeCall) against the frozen store;
+// nothing else does wave work and no worker touches the ledger. Commit
+// then runs single-threaded in strict block order: each tx's validated
+// run (or a re-run when its observations went stale) is committed and
+// its ledger side applied through WorldState::apply at its commit slot,
+// the same step the sequential path takes. Final state, receipts, events
+// and the accept/reject verdict are bit-identical to sequential
+// execution — ChainAuditor::audit_parallel_execution enforces exactly
+// that.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +32,16 @@ class ThreadPool;
 
 namespace mc::chain::exec {
 
+struct SpeculativeRun;
+
 struct ExecutionConfig {
   /// Worker cap for the wave phase; <= 1 selects the sequential path.
   std::size_t workers = 1;
   /// Pool the waves fan across; nullptr selects the sequential path.
   ThreadPool* pool = nullptr;
-  /// Concretize per-selector symbolic footprint summaries against tx
-  /// calldata (DESIGN.md §12–13). Off = the Param-as-whole-kind
-  /// baseline, kept as the A/B arm for benches.
-  bool symbolic_footprints = true;
 };
 
-/// Cumulative scheduler statistics (chainsim columns, bench probes).
+/// Cumulative scheduler statistics (bench probes, tests).
 struct BlockExecMetrics {
   std::uint64_t blocks = 0;
   std::uint64_t txs = 0;
@@ -92,10 +94,7 @@ class BlockExecutor {
     std::vector<std::pair<Address, Amount>>().swap(params_.premine);
   }
 
-  void set_config(const ExecutionConfig& config) {
-    config_ = config;
-    provider_.set_symbolic(config.symbolic_footprints);
-  }
+  void set_config(const ExecutionConfig& config) { config_ = config; }
   [[nodiscard]] const ExecutionConfig& config() const { return config_; }
   [[nodiscard]] const BlockExecMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const FootprintProvider& footprints() const {
@@ -121,12 +120,16 @@ class BlockExecutor {
                     std::vector<TxReceipt>* receipts, bool sigs_prechecked,
                     BlockExecResult& out);
 
-  /// Execute tx `i` at its commit slot against fully-committed state
-  /// (the sequential step the wave path falls back to).
+  /// Execute tx `i` at its commit slot against fully-committed state:
+  /// the contract side first (commit `validated`, a run already checked
+  /// current, else speculate or execute through the hook now), then the
+  /// ledger side via WorldState::apply, the receipt and the anchor. The
+  /// one step both paths share.
   bool commit_slot_execute(WorldState& state, const Block& block,
-                           std::size_t i, std::vector<TxReceipt>* receipts,
-                           bool sigs_prechecked, bool record_footprint,
-                           BlockExecResult& out);
+                           std::size_t i, const SpeculativeRun* validated,
+                           bool record_footprint,
+                           std::vector<TxReceipt>* receipts,
+                           bool sigs_prechecked, BlockExecResult& out);
 
   ChainParams params_;
   ExecutionHook* hook_;

@@ -56,10 +56,10 @@ bool concretize_call_footprint(const Transaction& tx,
 
 TxFootprint scheduling_footprint(const Transaction& tx,
                                  const vm::ContractStore* store,
-                                 std::uint64_t height, bool symbolic) {
+                                 std::uint64_t height) {
   TxFootprint fp = tx_footprint(tx, store);
   if (!fp.unbounded) return fp;
-  if (symbolic && store != nullptr) {
+  if (store != nullptr) {
     TxFootprint concrete;
     if (concretize_call_footprint(tx, *store, height, concrete))
       return concrete;
@@ -69,7 +69,7 @@ TxFootprint scheduling_footprint(const Transaction& tx,
 
 TxFootprint FootprintProvider::footprint(const Transaction& tx,
                                          std::uint64_t height) const {
-  TxFootprint fp = scheduling_footprint(tx, store_, height, symbolic_);
+  TxFootprint fp = scheduling_footprint(tx, store_, height);
   if (!fp.unbounded) return fp;
   auto it = dynamic_.find(tx.id());
   if (it != dynamic_.end()) return it->second;

@@ -39,11 +39,10 @@ namespace mc::chain::exec {
                                              TxFootprint& out);
 
 /// Full scheduling-footprint ladder: static-exact cells when bounded,
-/// else the concretized symbolic summary (when `symbolic`), else ⊤.
+/// else the concretized symbolic summary, else ⊤.
 [[nodiscard]] TxFootprint scheduling_footprint(const Transaction& tx,
                                                const vm::ContractStore* store,
-                                               std::uint64_t height,
-                                               bool symbolic);
+                                               std::uint64_t height);
 
 class FootprintProvider {
  public:
@@ -58,11 +57,6 @@ class FootprintProvider {
 
   void set_store(const vm::ContractStore* store) { store_ = store; }
   [[nodiscard]] const vm::ContractStore* store() const { return store_; }
-
-  /// A/B switch for the symbolic concretizer (ExecutionConfig wires it
-  /// through; benches compare against the Param-as-whole-kind baseline).
-  void set_symbolic(bool on) { symbolic_ = on; }
-  [[nodiscard]] bool symbolic() const { return symbolic_; }
 
   /// Scheduling footprint for `tx`: the static footprint when bounded,
   /// else the concretized per-selector summary, else the recorded
@@ -79,7 +73,6 @@ class FootprintProvider {
 
  private:
   const vm::ContractStore* store_;
-  bool symbolic_ = true;
   std::size_t max_recorded_;
   std::unordered_map<TxId, TxFootprint> dynamic_;
   std::deque<TxId> order_;  ///< insertion order; unique per recorded id

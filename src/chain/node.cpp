@@ -79,16 +79,14 @@ Block Node::propose(std::uint64_t time_ms) {
   // selected tx passed the mempool's signature check, so the preview
   // skips re-verifying Schnorr.
   state_.checkpoint();
-  if (!apply_block(state_, block, /*count=*/false, nullptr,
-                   /*sigs_prechecked=*/true)) {
+  if (!apply_block(state_, block, /*count=*/false)) {
     state_.revert();
     if (hook_ != nullptr) hook_->rollback_to(tip_height_);
     mempool_.remove(block.txs);
     block.txs.clear();
     block.header.tx_root = block.compute_tx_root();
     state_.checkpoint();
-    apply_block(state_, block, /*count=*/false, nullptr,
-                /*sigs_prechecked=*/true);  // reward only
+    apply_block(state_, block, /*count=*/false);  // reward only
   }
   block.header.state_root = state_commitment(state_);
   state_.revert();
@@ -119,15 +117,15 @@ Hash256 Node::state_commitment(const WorldState& state) const {
 }
 
 bool Node::apply_block(WorldState& state, const Block& block, bool count,
-                       std::vector<TxReceipt>* receipts,
-                       bool sigs_prechecked) {
+                       std::vector<TxReceipt>* receipts) {
   // Delegated to the execution pipeline (chain/execution): sequential or
   // wave-parallel per the node's ExecutionConfig, identical results
   // either way. Work counters are charged exactly as the old inline loop
   // did: one signature check per tx entered, execution work per tx
   // applied.
   const exec::BlockExecResult result =
-      executor_->execute_block(state, block, receipts, sigs_prechecked);
+      executor_->execute_block(state, block, receipts,
+                               /*sigs_prechecked=*/true);
   if (count) {
     counters_.sig_verifications += result.txs_seen;
     counters_.txs_executed += result.txs_applied;
@@ -145,8 +143,7 @@ std::optional<WorldState> Node::replay(
   for (const Block* b : path) {
     if (b->header.height == 0) continue;  // genesis carries no txs
     // Every stored block passed the signature pre-check in receive().
-    if (!apply_block(fresh, *b, /*count=*/true, receipts,
-                     /*sigs_prechecked=*/true))
+    if (!apply_block(fresh, *b, /*count=*/true, receipts))
       return std::nullopt;
     if (state_commitment(fresh) != b->header.state_root)
       return std::nullopt;  // branch lies about its state
@@ -220,8 +217,7 @@ BlockVerdict Node::receive(const Block& block) {
       // state; the journal undoes a rejected block.
       state_.checkpoint();
       std::vector<TxReceipt> receipts;
-      if (!apply_block(state_, block, /*count=*/true, &receipts,
-                       /*sigs_prechecked=*/true) ||
+      if (!apply_block(state_, block, /*count=*/true, &receipts) ||
           state_commitment(state_) != block.header.state_root) {
         // A failing tx, or a proposer that committed to a different
         // post-state: neither ledger nor contract effects may leak.

@@ -99,9 +99,9 @@ class Node {
   /// Validate into the mempool; true if accepted.
   bool submit(const Transaction& tx);
 
-  /// Configure the execution pipeline (worker count, thread pool,
-  /// dynamic-footprint recording). Defaults to sequential execution;
-  /// verdicts and state roots are identical either way.
+  /// Configure the execution pipeline (worker count, thread pool).
+  /// Defaults to sequential execution; verdicts and state roots are
+  /// identical either way.
   void set_execution(const exec::ExecutionConfig& config);
   [[nodiscard]] const exec::BlockExecutor& executor() const {
     return *executor_;
@@ -178,13 +178,13 @@ class Node {
   /// Apply one block's transactions to `state`; false if any tx fails.
   /// `count=false` applies without charging the node's work counters
   /// (used by propose()'s preview pass). When `receipts` is non-null, a
-  /// receipt is appended per applied transaction. `sigs_prechecked=true`
-  /// skips per-tx signature checks (the BlockValidator pre-pass or the
-  /// mempool already verified them); work counters are charged the same
-  /// either way so duplication accounting stays comparable.
+  /// receipt is appended per applied transaction. Every block reaching
+  /// here had its signatures checked already (the BlockValidator pre-pass
+  /// or the mempool), so per-tx checks are skipped; work counters still
+  /// charge one signature check per tx entered, keeping duplication
+  /// accounting comparable.
   bool apply_block(WorldState& state, const Block& block, bool count = true,
-                   std::vector<TxReceipt>* receipts = nullptr,
-                   bool sigs_prechecked = false);
+                   std::vector<TxReceipt>* receipts = nullptr);
 
   /// Commitment over ledger + contract state (block header state_root).
   [[nodiscard]] Hash256 state_commitment(const WorldState& state) const;

@@ -9,18 +9,12 @@
 
 namespace mc::chain {
 
-namespace {
-
-/// Ledger-generic validate/apply: `Ledger` is WorldState (direct, the
-/// sequential path) or StateOverlay (buffered, the speculative path). One
-/// implementation keeps the two paths semantically identical by
-/// construction — the determinism argument of DESIGN.md §13 leans on it.
-template <typename Ledger>
-ApplyResult validate_on(const Ledger& ledger, const Transaction& tx,
-                        const ChainParams& params, bool assume_sig_valid) {
+ApplyResult WorldState::validate(const Transaction& tx,
+                                 const ChainParams& params,
+                                 bool assume_sig_valid) const {
   if (!assume_sig_valid && !tx.verify_signature())
     return {false, 0, "bad signature"};
-  const Account acct = ledger.account(tx.from);
+  const Account acct = account(tx.from);
   if (tx.nonce != acct.nonce) return {false, 0, "bad nonce"};
   if (tx.gas_limit < params.transfer_gas && tx.kind == TxKind::Transfer)
     return {false, 0, "gas limit below intrinsic cost"};
@@ -32,12 +26,10 @@ ApplyResult validate_on(const Ledger& ledger, const Transaction& tx,
   return {true, 0, ""};
 }
 
-template <typename Ledger>
-ApplyResult apply_on(Ledger& ledger, const Transaction& tx,
-                     const Address& proposer, const ChainParams& params,
-                     Gas execution_gas, bool credit_recipient,
-                     bool assume_sig_valid) {
-  ApplyResult check = validate_on(ledger, tx, params, assume_sig_valid);
+ApplyResult WorldState::apply(const Transaction& tx, const Address& proposer,
+                              const ChainParams& params, Gas execution_gas,
+                              bool credit_recipient, bool assume_sig_valid) {
+  ApplyResult check = validate(tx, params, assume_sig_valid);
   if (!check.ok) return check;
 
   Gas gas = execution_gas;
@@ -56,7 +48,7 @@ ApplyResult apply_on(Ledger& ledger, const Transaction& tx,
   if (gas > tx.gas_limit) return {false, 0, "out of gas"};
 
   const Amount fee = gas * tx.gas_price;
-  Account from = ledger.account(tx.from);
+  Account from = account(tx.from);
   if (from.balance < tx.amount + fee)
     return {false, 0, "insufficient balance for fee"};
 
@@ -65,87 +57,11 @@ ApplyResult apply_on(Ledger& ledger, const Transaction& tx,
             "apply reached past validate with a mismatched nonce");
   from.balance -= tx.amount + fee;
   from.nonce += 1;
-  ledger.set_account(tx.from, from);
+  set_account(tx.from, from);
   if (tx.kind == TxKind::Transfer && credit_recipient)
-    ledger.credit(tx.to, tx.amount);
-  ledger.credit(proposer, fee);
+    credit(tx.to, tx.amount);
+  credit(proposer, fee);
   return {true, gas, ""};
-}
-
-}  // namespace
-
-ApplyResult WorldState::validate(const Transaction& tx,
-                                 const ChainParams& params,
-                                 bool assume_sig_valid) const {
-  return validate_on(*this, tx, params, assume_sig_valid);
-}
-
-ApplyResult WorldState::apply(const Transaction& tx, const Address& proposer,
-                              const ChainParams& params, Gas execution_gas,
-                              bool credit_recipient, bool assume_sig_valid) {
-  return apply_on(*this, tx, proposer, params, execution_gas, credit_recipient,
-                  assume_sig_valid);
-}
-
-bool WorldState::reflects(const StateOverlay& delta) const {
-  return std::all_of(
-      delta.observed_.begin(), delta.observed_.end(),
-      [this](const auto& kv) { return account(kv.first) == kv.second; });
-}
-
-void WorldState::commit(const StateOverlay& delta) {
-  MC_DCHECK(delta.base_ == this,
-            "committing an overlay built over a different base state");
-  // Unordered iteration is safe here: writes target distinct keys with
-  // absolute values, credits are commutative adds, anchors are a vector.
-  for (const auto& [addr, acct] : delta.written_) set_account(addr, acct);
-  for (const auto& [addr, amount] : delta.credited_) credit(addr, amount);
-  for (const AnchorRecord& r : delta.anchors_)
-    record_anchor(r.owner, r.digest, r.height);
-}
-
-Account StateOverlay::account(const Address& a) const {
-  auto w = written_.find(a);
-  if (w != written_.end()) return w->second;
-  Account acct = base_->account(a);
-  observed_.emplace(a, acct);  // first read wins; commit re-checks it
-  auto c = credited_.find(a);
-  if (c != credited_.end()) acct.balance += c->second;
-  return acct;
-}
-
-void StateOverlay::set_account(const Address& a, const Account& acct) {
-  written_[a] = acct;
-  // Any prior blind credit is already folded into the absolute value the
-  // caller derived from account(); keeping it would double-count.
-  credited_.erase(a);
-}
-
-void StateOverlay::credit(const Address& a, Amount amount) {
-  auto w = written_.find(a);
-  if (w != written_.end()) {
-    w->second.balance += amount;
-    return;
-  }
-  credited_[a] += amount;  // entry materializes even when amount == 0
-}
-
-ApplyResult StateOverlay::validate(const Transaction& tx,
-                                   const ChainParams& params,
-                                   bool assume_sig_valid) const {
-  return validate_on(*this, tx, params, assume_sig_valid);
-}
-
-ApplyResult StateOverlay::apply(const Transaction& tx, const Address& proposer,
-                                const ChainParams& params, Gas execution_gas,
-                                bool credit_recipient, bool assume_sig_valid) {
-  return apply_on(*this, tx, proposer, params, execution_gas, credit_recipient,
-                  assume_sig_valid);
-}
-
-void StateOverlay::record_anchor(const Address& owner, const Hash256& digest,
-                                 Height height) {
-  anchors_.push_back(AnchorRecord{owner, digest, height});
 }
 
 // --- account trie ---------------------------------------------------------

@@ -42,8 +42,6 @@ struct AnchorRecord {
   Height height = 0;
 };
 
-class StateOverlay;
-
 /// The ledger: accounts in a 16-ary Merkle trie plus the anchor registry,
 /// with an O(block) state commitment (DESIGN.md §16).
 ///
@@ -129,21 +127,9 @@ class WorldState {
   /// Keep every mutation since checkpoint() and close the checkpoint.
   void release_checkpoint();
 
-  // --- execution-layer API (chain/execution scheduler) ------------------
-
-  /// Overwrite an account wholesale. Shared ledger-write primitive of the
-  /// apply path; outside chain/state + chain/execution prefer apply().
+  /// Overwrite an account wholesale. The ledger-write primitive apply()
+  /// is built on; outside chain/state prefer apply().
   void set_account(const Address& a, const Account& acct);
-
-  /// True when every account the overlay observed still holds the value
-  /// it observed — the overlay's buffered effects then equal what a
-  /// sequential apply at this point would produce (commit validation).
-  [[nodiscard]] bool reflects(const StateOverlay& delta) const;
-
-  /// Fold an overlay's buffered writes, blind credits and anchors into
-  /// this state. Caller guarantees reflects(delta) (or accepts the
-  /// overlay verbatim, e.g. after a deterministic re-run decision).
-  void commit(const StateOverlay& delta);
 
  private:
   /// Trie node handle: 0 is empty, kLeafBit|i is leaves_[i], otherwise
@@ -213,54 +199,6 @@ class WorldState {
   mutable std::size_t anchors_folded_ = 0;
 
   std::optional<Checkpoint> checkpoint_;
-};
-
-/// Speculative per-transaction write buffer over a frozen base WorldState
-/// — the parallel scheduler's unit of isolation (DESIGN.md §13). Reads
-/// fall through to the base and are recorded as the observation set;
-/// `WorldState::reflects` re-checks that set at commit time and
-/// `WorldState::commit` folds the buffered effects in. Credits (fee /
-/// transfer-recipient) stay *blind* — additive, never reading the base —
-/// so the proposer's hot balance cell does not serialize every pair.
-class StateOverlay {
- public:
-  explicit StateOverlay(const WorldState& base) : base_(&base) {}
-
-  /// Read-through lookup: buffered write if present, else the base value
-  /// (recorded as an observation) plus any buffered blind credits.
-  [[nodiscard]] Account account(const Address& a) const;
-
-  /// Buffer an absolute account write (absorbs prior blind credits).
-  void set_account(const Address& a, const Account& acct);
-
-  /// Buffer a blind additive credit; records the account's creation even
-  /// for amount 0, matching the sequential path's map materialization.
-  void credit(const Address& a, Amount amount);
-
-  /// Validate/apply with semantics identical to WorldState::apply, into
-  /// the buffer instead of the ledger.
-  [[nodiscard]] ApplyResult validate(const Transaction& tx,
-                                     const ChainParams& params,
-                                     bool assume_sig_valid = false) const;
-  ApplyResult apply(const Transaction& tx, const Address& proposer,
-                    const ChainParams& params, Gas execution_gas = 0,
-                    bool credit_recipient = true,
-                    bool assume_sig_valid = false);
-
-  void record_anchor(const Address& owner, const Hash256& digest,
-                     Height height);
-
-  [[nodiscard]] std::size_t observed_count() const { return observed_.size(); }
-
- private:
-  friend class WorldState;
-
-  const WorldState* base_;
-  /// First-read base snapshots (commit-time validation set).
-  mutable std::unordered_map<Address, Account> observed_;
-  std::unordered_map<Address, Account> written_;   ///< absolute post-values
-  std::unordered_map<Address, Amount> credited_;   ///< blind adds over base
-  std::vector<AnchorRecord> anchors_;
 };
 
 }  // namespace mc::chain

@@ -1,8 +1,9 @@
 // Parallel block execution (DESIGN.md §13): the wave scheduler must be
 // bit-identical to sequential execution — same state digests, same
 // contract-store digests, same receipts, same accept/reject verdicts —
-// on transfer chains, contract chains, randomized mixed workloads and
-// the abort/re-run path where a recorded dynamic footprint goes stale.
+// on transfer chains, contract chains, randomized mixed workloads, a
+// proposer spending after its own fee credits, and the abort/re-run
+// path where a recorded dynamic footprint goes stale.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -195,6 +196,35 @@ struct ParallelRig {
   }
 };
 
+/// One BlockExecutor over its own contract stack, collecting receipts.
+struct ExecStack {
+  vm::ContractStore store;
+  VmExecutionHook hook{store};
+  exec::BlockExecutor executor;
+  std::vector<TxReceipt> receipts;
+
+  ExecStack(const ChainParams& params, const exec::ExecutionConfig& cfg)
+      : executor(params, &hook) {
+    executor.set_config(cfg);
+  }
+
+  void apply(WorldState& state, const Block& block) {
+    const exec::BlockExecResult res =
+        executor.execute_block(state, block, &receipts);
+    ASSERT_TRUE(res.ok) << res.error;
+  }
+};
+
+void expect_same_receipts(const ExecStack& a, const ExecStack& b) {
+  ASSERT_EQ(a.receipts.size(), b.receipts.size());
+  for (std::size_t k = 0; k < a.receipts.size(); ++k) {
+    EXPECT_EQ(a.receipts[k].id, b.receipts[k].id);
+    EXPECT_EQ(a.receipts[k].height, b.receipts[k].height);
+    EXPECT_EQ(a.receipts[k].gas_used, b.receipts[k].gas_used);
+    EXPECT_EQ(a.receipts[k].index, b.receipts[k].index);
+  }
+}
+
 /// A VmExecutionHook that owns its ContractStore, for HookFactory use.
 /// The store lives in a base constructed before VmExecutionHook.
 struct StoreHolder {
@@ -208,9 +238,11 @@ struct OwningVmHook : StoreHolder, VmExecutionHook {
 
 TEST(ParallelExec, TransferChainMatchesSequential) {
   ParallelRig rig;
-  // Five blocks mixing disjoint sender/recipient pairs (wide waves) with
-  // overlapping recipients and repeat senders (DAG edges).
-  for (int b = 0; b < 5; ++b) {
+  // Blocks mixing disjoint sender/recipient pairs (wide waves) with
+  // overlapping recipients and repeat senders (DAG edges). With a Call in
+  // the block, the wave path schedules it; without one, the block has no
+  // wave work and runs sequentially.
+  const auto transfers = [&](int b) {
     std::vector<Transaction> txs;
     for (std::size_t u = 0; u < rig.users.size(); ++u) {
       const std::size_t to = (u + 1 + static_cast<std::size_t>(b)) % 8;
@@ -226,13 +258,34 @@ TEST(ParallelExec, TransferChainMatchesSequential) {
     txs.push_back(make_transfer(rig.users[0],
                                 crypto::address_of(rig.users[4].pub), 9,
                                 rig.next_nonce(0)));
-    rig.commit(txs, 1'000 * (b + 1));
-  }
+    return txs;
+  };
+  for (int b = 0; b < 5; ++b) rig.commit(transfers(b), 1'000 * (b + 1));
   rig.expect_converged();
 
+  // Ledger-only blocks never enter the wave path, even with 4 workers.
   const exec::BlockExecMetrics& m = rig.par.node.executor().metrics();
-  EXPECT_GT(m.parallel_txs, 0u);
+  EXPECT_EQ(m.waves, 0u);
+  EXPECT_EQ(m.parallel_txs, 0u);
+  EXPECT_EQ(m.dag_edges, 0u);
+
+  // A deploy-only block has no wave work either.
+  const Transaction deploy = make_deploy(
+      rig.users[5], vm::assemble(kCounterSource), rig.next_nonce(5));
+  rig.commit({deploy}, 6'000);
+  EXPECT_EQ(m.waves, 0u);
+  const vm::Word counter = *rig.builder.hook.contract_id_of(deploy.id());
+
+  // The same transfer shape plus one Call per block: the transfers, the
+  // same-sender chain included, now commit from waves.
+  for (int b = 5; b < 8; ++b) {
+    std::vector<Transaction> txs = transfers(b);
+    txs.push_back(make_call(rig.users[5], counter, {1, 1}, rig.next_nonce(5)));
+    rig.commit(txs, 1'000 * (b + 2));
+  }
+  rig.expect_converged();
   EXPECT_GT(m.waves, 0u);
+  EXPECT_GT(m.parallel_txs, 0u);
   EXPECT_GT(m.dag_edges, 0u);  // the same-sender chain forces edges
   // The sequential replica never entered the wave path.
   EXPECT_EQ(rig.seq.node.executor().metrics().parallel_txs, 0u);
@@ -307,34 +360,52 @@ TEST(ParallelExec, DynamicFootprintsRecordedForUnboundedCalls) {
 // --- divergence on invalid blocks ------------------------------------------
 
 TEST(ParallelExec, InvalidBlockRejectedIdentically) {
-  ParallelRig rig;
-  std::vector<Transaction> txs;
-  for (std::size_t u = 0; u < 4; ++u)
-    txs.push_back(make_transfer(rig.users[u],
-                                crypto::address_of(rig.users[u + 4].pub), 50,
-                                rig.next_nonce(u)));
-  rig.commit(txs, 1'000);
-  const Hash256 seq_digest = rig.seq.node.state().digest();
+  // Once ledger-only (sequential path on both replicas), once with a Call
+  // in the bad block, so the parallel replica rejects the overspend at
+  // its commit slot on the wave path.
+  for (const bool with_call : {false, true}) {
+    SCOPED_TRACE(with_call ? "call-bearing block" : "ledger-only block");
+    ParallelRig rig;
+    std::vector<Transaction> txs;
+    for (std::size_t u = 0; u < 4; ++u)
+      txs.push_back(make_transfer(rig.users[u],
+                                  crypto::address_of(rig.users[u + 4].pub),
+                                  50, rig.next_nonce(u)));
+    if (with_call)
+      txs.push_back(make_deploy(rig.users[6], vm::assemble(kCounterSource),
+                                rig.next_nonce(6)));
+    rig.commit(txs, 1'000);
+    const Hash256 seq_digest = rig.seq.node.state().digest();
+    const Hash256 seq_store = rig.seq.store.digest();
 
-  // Hand-craft a block with an overspending tx in the middle: both
-  // execution modes must reject it and roll back completely.
-  Block bad = rig.builder.node.propose(2'000);
-  bad.txs.clear();
-  for (std::size_t u = 0; u < 3; ++u)
-    bad.txs.push_back(make_transfer(rig.users[u],
-                                    crypto::address_of(rig.users[5].pub), 10,
-                                    rig.nonces[u]));
-  bad.txs.insert(bad.txs.begin() + 1,
-                 make_transfer(rig.users[7], crypto::address_of(
-                                   rig.users[0].pub),
-                               Amount{5'000'000'000}, rig.nonces[7]));
-  bad.header.tx_root = bad.compute_tx_root();
-  EXPECT_EQ(rig.seq.node.receive(bad), BlockVerdict::Invalid);
-  EXPECT_EQ(rig.par.node.receive(bad), BlockVerdict::Invalid);
-  EXPECT_EQ(rig.seq.node.height(), 1u);
-  EXPECT_EQ(rig.par.node.height(), 1u);
-  EXPECT_EQ(rig.seq.node.state().digest(), seq_digest);
-  EXPECT_EQ(rig.par.node.state().digest(), seq_digest);
+    // Hand-craft a block with an overspending tx in the middle: both
+    // execution modes must reject it and roll back completely.
+    Block bad = rig.builder.node.propose(2'000);
+    bad.txs.clear();
+    if (with_call)
+      bad.txs.push_back(make_call(rig.users[6],
+                                  *rig.builder.hook.contract_id_of(
+                                      txs.back().id()),
+                                  {1, 5}, rig.nonces[6]));
+    for (std::size_t u = 0; u < 3; ++u)
+      bad.txs.push_back(make_transfer(rig.users[u],
+                                      crypto::address_of(rig.users[5].pub),
+                                      10, rig.nonces[u]));
+    bad.txs.insert(bad.txs.begin() + (with_call ? 2 : 1),
+                   make_transfer(rig.users[7],
+                                 crypto::address_of(rig.users[0].pub),
+                                 Amount{5'000'000'000}, rig.nonces[7]));
+    bad.header.tx_root = bad.compute_tx_root();
+    EXPECT_EQ(rig.seq.node.receive(bad), BlockVerdict::Invalid);
+    EXPECT_EQ(rig.par.node.receive(bad), BlockVerdict::Invalid);
+    EXPECT_EQ(rig.par.node.executor().metrics().waves > 0, with_call);
+    EXPECT_EQ(rig.seq.node.height(), 1u);
+    EXPECT_EQ(rig.par.node.height(), 1u);
+    EXPECT_EQ(rig.seq.node.state().digest(), seq_digest);
+    EXPECT_EQ(rig.par.node.state().digest(), seq_digest);
+    EXPECT_EQ(rig.seq.store.digest(), seq_store);
+    EXPECT_EQ(rig.par.store.digest(), seq_store);
+  }
 }
 
 // --- abort/re-run: a recorded footprint that goes stale ---------------------
@@ -373,29 +444,8 @@ TEST(ParallelExec, StaleRecordedFootprintAbortsAndRerunsIdentically) {
     return b;
   };
 
-  struct Stack {
-    vm::ContractStore store;
-    VmExecutionHook hook{store};
-    exec::BlockExecutor executor;
-    std::vector<TxReceipt> receipts;
-
-    Stack(const ChainParams& params, const exec::ExecutionConfig& cfg)
-        : executor(params, &hook) {
-      executor.set_config(cfg);
-    }
-
-    void apply(WorldState& state, const Block& block) {
-      const exec::BlockExecResult res =
-          executor.execute_block(state, block, &receipts);
-      ASSERT_TRUE(res.ok) << res.error;
-    }
-  };
-
-  exec::ExecutionConfig par_cfg;
-  par_cfg.workers = 4;
-  par_cfg.pool = &pool;
-  Stack par(params, par_cfg);
-  Stack seq(params, exec::ExecutionConfig{});
+  ExecStack par(params, exec::ExecutionConfig{4, &pool});
+  ExecStack seq(params, exec::ExecutionConfig{});
 
   std::vector<Block> chain_a;
   std::vector<Block> chain_b;
@@ -437,7 +487,7 @@ TEST(ParallelExec, StaleRecordedFootprintAbortsAndRerunsIdentically) {
   chain_b.push_back(block_at(2, {t_base2, filler(6, 0)}));
   chain_b.push_back(block_at(3, {t_base, t_probe}));
 
-  for (Stack* stack : {&par, &seq}) {
+  for (ExecStack* stack : {&par, &seq}) {
     WorldState state_a = fresh_state();
     for (const Block& b : chain_a) stack->apply(state_a, b);
     WorldState state_b = fresh_state();
@@ -457,12 +507,7 @@ TEST(ParallelExec, StaleRecordedFootprintAbortsAndRerunsIdentically) {
 
   // Bit-identical outcome despite the abort.
   EXPECT_EQ(par.store.digest(), seq.store.digest());
-  ASSERT_EQ(par.receipts.size(), seq.receipts.size());
-  for (std::size_t k = 0; k < par.receipts.size(); ++k) {
-    EXPECT_EQ(par.receipts[k].id, seq.receipts[k].id);
-    EXPECT_EQ(par.receipts[k].gas_used, seq.receipts[k].gas_used);
-    EXPECT_EQ(par.receipts[k].index, seq.receipts[k].index);
-  }
+  expect_same_receipts(par, seq);
   // The re-run took the indirect path; the aborted speculative write to
   // storage[3] never leaked into the store.
   const vm::DeployedContract* dc = par.store.contract(id);
@@ -471,6 +516,65 @@ TEST(ParallelExec, StaleRecordedFootprintAbortsAndRerunsIdentically) {
   EXPECT_EQ(dc->storage.at(1), 1u);
   EXPECT_EQ(dc->storage.at(7), 1u);
   EXPECT_EQ(dc->storage.count(3), 0u);
+}
+
+// --- the proposer spends in its own block -----------------------------------
+
+// Every applied tx credits its fee to header.proposer. When the proposer
+// also sends a tx later in the same block, that tx reads a balance the
+// earlier txs' fee credits changed — cells no scheduling footprint
+// names. The ledger side is applied at each tx's commit slot, so the
+// wave path sees exactly the sequential balance and nothing aborts.
+TEST(ParallelExec, ProposerSpendingAfterFeeCreditsMatchesSequential) {
+  const auto users = make_users(8);
+  const ChainParams params = params_with_premine(users);
+  ThreadPool pool{4};
+  ExecStack par(params, exec::ExecutionConfig{4, &pool});
+  ExecStack seq(params, exec::ExecutionConfig{});
+
+  const Transaction deploy =
+      make_deploy(users[1], vm::assemble(kCounterSource), 0);
+  Block deploy_block;
+  deploy_block.header.height = 1;
+  deploy_block.header.proposer = crypto::address_of(users[0].pub);
+  deploy_block.txs = {deploy};
+
+  WorldState par_state;
+  WorldState seq_state;
+  for (const auto& [addr, amount] : params.premine) {
+    par_state.credit(addr, amount);
+    seq_state.credit(addr, amount);
+  }
+  par.apply(par_state, deploy_block);
+  seq.apply(seq_state, deploy_block);
+  if (testing::Test::HasFatalFailure()) return;
+  const vm::Word counter = *par.hook.contract_id_of(deploy.id());
+
+  // Fee-paying txs first, then the proposer's own transfer and call.
+  // The transfer's footprint ({proposer, payee}) overlaps no earlier tx,
+  // so it is scheduled into the first wave beside them.
+  Block block;
+  block.header.height = 2;
+  block.header.proposer = crypto::address_of(users[0].pub);
+  for (std::size_t u = 2; u < 5; ++u)
+    block.txs.push_back(make_transfer(
+        users[u], crypto::address_of(users[u + 3].pub), 40, 0));
+  block.txs.push_back(make_call(users[1], counter, {1, 3}, 1));
+  const Address payee =
+      crypto::address_of(crypto::key_from_seed("exec-payee").pub);
+  block.txs.push_back(make_transfer(users[0], payee, 25, 0));
+  block.txs.push_back(make_call(users[0], counter, {1, 4}, 1));
+  par.apply(par_state, block);
+  seq.apply(seq_state, block);
+  if (testing::Test::HasFatalFailure()) return;
+
+  EXPECT_EQ(par_state.digest(), seq_state.digest());
+  EXPECT_EQ(par.store.digest(), seq.store.digest());
+  expect_same_receipts(par, seq);
+  const exec::BlockExecMetrics& m = par.executor.metrics();
+  EXPECT_GT(m.waves, 0u);
+  EXPECT_GT(m.parallel_txs, 0u);
+  EXPECT_EQ(m.aborts, 0u);
 }
 
 // --- randomized mixed workload, gated by the auditor ------------------------
@@ -562,8 +666,7 @@ TEST(ParallelExec, AuditorPassesRandomizedMixedWorkload) {
 
 // Two patients updating their own H(7, patient) record cells on ONE
 // shared contract must not conflict once the per-selector summary is
-// concretized; with the symbolic leg disabled the same calls degrade to
-// the Param-as-unbounded baseline.
+// concretized.
 TEST(Footprints, SchedulingFootprintConcretizesPatientCells) {
   const char* src = R"(
     PUSH 0
@@ -596,23 +699,19 @@ TEST(Footprints, SchedulingFootprintConcretizesPatientCells) {
   const Transaction bob = call_for(1, 202);
 
   const TxFootprint fa =
-      exec::scheduling_footprint(alice, &store, /*height=*/2, true);
+      exec::scheduling_footprint(alice, &store, /*height=*/2);
   const TxFootprint fb =
-      exec::scheduling_footprint(bob, &store, /*height=*/2, true);
+      exec::scheduling_footprint(bob, &store, /*height=*/2);
   EXPECT_FALSE(fa.unbounded);
   EXPECT_FALSE(fb.unbounded);
   EXPECT_FALSE(footprints_conflict(fa, fb));
   // Same patient from both senders: the concretized cells collide.
   const TxFootprint fb_same =
-      exec::scheduling_footprint(call_for(1, 101), &store, 2, true);
+      exec::scheduling_footprint(call_for(1, 101), &store, 2);
   EXPECT_TRUE(footprints_conflict(fa, fb_same));
 
-  // Symbolic leg off: back to the whole-kind Param baseline.
-  EXPECT_TRUE(
-      exec::scheduling_footprint(alice, &store, 2, false).unbounded);
   // No store at all: nothing to concretize against.
-  EXPECT_TRUE(
-      exec::scheduling_footprint(alice, nullptr, 2, true).unbounded);
+  EXPECT_TRUE(exec::scheduling_footprint(alice, nullptr, 2).unbounded);
 }
 
 // Regression: the recorded-set cache used to reset wholesale at the cap,

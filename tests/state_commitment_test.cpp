@@ -121,24 +121,24 @@ void run_random_ops(std::uint64_t seed) {
       state.set_account(a, acct);
       model.accounts[a] = acct;
     } else if (op == 3) {
-      StateOverlay overlay(state);
+      // A transaction-shaped batch: blind credits, a read-modify-write
+      // of one account, maybe an anchor.
       for (int k = 0; k < 3; ++k) {
         const Address a = pick();
         const Amount amount = rng.uniform(3) == 0 ? 0 : rng.uniform(100);
-        overlay.credit(a, amount);
+        state.credit(a, amount);
         model.accounts[a].balance += amount;
       }
       const Address w = pick();
-      Account acct = overlay.account(w);
+      Account acct = state.account(w);
       acct.nonce += 1;
-      overlay.set_account(w, acct);
+      state.set_account(w, acct);
       model.accounts[w] = acct;
       if (rng.bernoulli(0.5)) {
         const AnchorRecord r{pick(), random_hash(rng), rng.uniform(100)};
-        overlay.record_anchor(r.owner, r.digest, r.height);
+        state.record_anchor(r.owner, r.digest, r.height);
         model.anchors.push_back(r);
       }
-      state.commit(overlay);
     } else if (op == 4) {
       // Re-anchoring an existing (owner, digest) exercises the index count.
       AnchorRecord r{pick(), random_hash(rng), rng.uniform(100)};

@@ -28,7 +28,7 @@
 //                            analyzer's admission gate (and, in audit
 //                            builds, its soundness check) cannot be
 //                            bypassed.
-//   state-direct-apply       raw WorldState/StateOverlay .apply() calls
+//   state-direct-apply       raw WorldState .apply() calls
 //                            are banned outside chain/state and
 //                            chain/execution/ — block transactions go
 //                            through BlockExecutor so sequential and
