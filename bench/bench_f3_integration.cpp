@@ -47,14 +47,14 @@ void integration_vs_sites() {
       linker.add_site(rows, site.config().schema);
     }
     IntegrationReport report;
-    linker.integrate(&report);
+    const std::vector<CommonRecord> dataset = linker.integrate(&report);
     const double elapsed_ms = timer.millis();
 
     table.row()
         .cell(hospitals)
         .cell(fed.sites.size())
         .cell(rows_in)
-        .cell(report.patients_merged)
+        .cell(dataset.size())
         .cell(report.mean_modalities_per_patient, 2)
         .cell(report.imputed_fields)
         .cell(elapsed_ms, 1)
@@ -79,7 +79,7 @@ void integration_vs_cohort() {
     }
     Stopwatch timer;
     IntegrationReport report;
-    linker.integrate(&report);
+    const std::vector<CommonRecord> dataset = linker.integrate(&report);
     const double ms = timer.millis();
     table.row()
         .cell(patients)
@@ -87,7 +87,7 @@ void integration_vs_cohort() {
         .cell(ms, 1)
         .cell(static_cast<double>(rows_in) / (ms / 1e3), 0)
         .cell(static_cast<double>(report.labeled_patients) /
-                  static_cast<double>(report.patients_merged),
+                  static_cast<double>(dataset.size()),
               3);
   }
   table.print();
@@ -106,14 +106,14 @@ void linkage_quality() {
     for (const auto& site : fed.sites)
       linker.add_site(site.export_rows(), site.config().schema);
     IntegrationReport report;
-    linker.integrate(&report);
+    const std::vector<CommonRecord> dataset = linker.integrate(&report);
     table.row()
         .cell(missing, 2)
         .cell(static_cast<double>(report.rows_unlinkable) /
                   static_cast<double>(report.rows_in),
               3)
-        .cell(report.patients_merged)
-        .cell(static_cast<double>(report.patients_merged) / 1'500.0, 3);
+        .cell(dataset.size())
+        .cell(static_cast<double>(dataset.size()) / 1'500.0, 3);
   }
   table.print();
 }

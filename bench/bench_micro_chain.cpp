@@ -1,14 +1,21 @@
-// Micro-benchmarks: ledger state commitment (google-benchmark).
+// Micro-benchmarks: ledger state commitment and the execution DAG
+// (google-benchmark).
 //
 // BM_WorldStateCommit/<accounts> is the per-block commit cost of a node
 // (DESIGN.md §16): open the undo journal, apply a 256-transfer dirty set
 // (sender debit + nonce, recipient credit, proposer fee), then take the
 // incremental digest(). With an O(block) commitment the time per
 // iteration stays nearly flat as the premined state grows 100×.
+//
+// BM_BuildTxDag/<txs> is the dependency-DAG build of one block (DESIGN.md
+// §13) from the per-cell index, over seeded footprints shaped like a
+// contract-heavy block. Its cost grows with the block's cells, where the
+// pairwise builder it replaced compared every pair of txs.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "chain/execution/dag.hpp"
 #include "chain/state.hpp"
 #include "common/rng.hpp"
 
@@ -59,6 +66,49 @@ BENCHMARK(BM_WorldStateCommit)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Arg(1'000'000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Footprints of a contract-heavy block: each tx writes one or two
+/// storage cells (a third of them only reads instead) among 64
+/// contracts × 16 keys, and one tx in 64 is ⊤.
+std::vector<TxFootprint> dag_footprints(std::size_t txs) {
+  Rng rng(0xda6);
+  std::vector<TxFootprint> fps(txs);
+  for (TxFootprint& fp : fps) {
+    const std::size_t cells = 1 + rng.uniform(2);
+    for (std::size_t c = 0; c < cells; ++c) {
+      const FootprintCell cell = {fp_domain::kContract, rng.uniform(64),
+                                  rng.uniform(16)};
+      if (rng.uniform(3) == 0) {
+        fp.reads.push_back(cell);
+      } else {
+        fp.reads.push_back(cell);
+        fp.writes.push_back(cell);
+      }
+    }
+    fp.normalize();
+    fp.unbounded = rng.uniform(64) == 0;
+  }
+  return fps;
+}
+
+void BM_BuildTxDag(benchmark::State& state) {
+  const std::vector<TxFootprint> fps =
+      dag_footprints(static_cast<std::size_t>(state.range(0)));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const exec::TxDag dag = exec::build_tx_dag(fps);
+    edges = dag.edges;
+    benchmark::DoNotOptimize(dag.critical_path);
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fps.size()));
+}
+BENCHMARK(BM_BuildTxDag)
+    ->Arg(96)
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

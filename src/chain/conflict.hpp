@@ -3,16 +3,15 @@
 // The paper's end goal is turning duplicated execution into distributed
 // *parallel* computing; the prerequisite is knowing which transactions in
 // a block commute. This module derives a read/write footprint for every
-// transaction — transfers touch the two balance cells, contract calls use
-// the static analyzer's storage footprint proven at deployment — and
-// reports the pairwise conflict rate per block. A low rate is the
-// headroom a conflict-DAG parallel scheduler (ROADMAP) can exploit.
+// transaction — the contract cells a call's speculated run can observe,
+// from the static analyzer's storage footprint proven at deployment; no
+// ledger cells, since the ledger side is applied in block order at each
+// commit slot — and reports the pairwise conflict rate per block.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "chain/block.hpp"
@@ -22,50 +21,34 @@
 namespace mc::chain {
 
 /// A footprint cell: (domain, a, b). Domains keep unrelated state spaces
-/// from aliasing: balances key on the folded address, contract storage on
-/// (contract id, storage key).
+/// from aliasing: the deploy registry is one cell, contract storage keys
+/// on (contract id, storage key).
 using FootprintCell = std::array<vm::Word, 3>;
 
 namespace fp_domain {
-inline constexpr vm::Word kBalance = 0;   ///< a = folded address
 inline constexpr vm::Word kRegistry = 1;  ///< contract-id namespace (deploys)
-inline constexpr vm::Word kAnchor = 2;    ///< a = folded dataset digest
 inline constexpr vm::Word kContract = 3;  ///< a = contract id, b = key
 }  // namespace fp_domain
 
-/// Read/write footprint of one transaction. `unbounded` marks a footprint
-/// the static analyzer could not bound (non-constant storage keys, or an
-/// unknown contract) — such a transaction conservatively conflicts with
-/// everything.
+/// Read/write footprint of one transaction: sorted, duplicate-free cell
+/// vectors. `unbounded` marks a footprint the static analyzer could not
+/// bound (non-constant storage keys, or an unknown contract) — such a
+/// transaction conservatively conflicts with everything.
 struct TxFootprint {
-  std::set<FootprintCell> reads;
-  std::set<FootprintCell> writes;
+  std::vector<FootprintCell> reads;
+  std::vector<FootprintCell> writes;
   bool unbounded = false;
-};
 
-/// The ledger cell every transaction touches for its sender (fees +
-/// nonce). Shared with the execution layer's concretizer so symbolic
-/// scheduling footprints key balances identically.
-[[nodiscard]] FootprintCell balance_cell_of(const Address& addr);
+  /// Sort and deduplicate both cell vectors; every builder calls it once
+  /// after appending, since footprints_conflict merge-walks them.
+  void normalize();
+};
 
 /// Derive the footprint of `tx`. `store` resolves Call targets to their
 /// deployment-time analysis reports; pass nullptr when no contract state
 /// is available (Call footprints then degrade to unbounded).
 [[nodiscard]] TxFootprint tx_footprint(const Transaction& tx,
                                        const vm::ContractStore* store);
-
-/// Footprint of a Call tx reconstructed from a *recorded* dynamic trace
-/// (the first concrete run of a ⊤-footprint contract): the tx's ledger
-/// cells plus one contract cell per traced read/write/foreign-read. Used
-/// by the execution layer's FootprintProvider as a scheduling hint; it is
-/// NOT a sound bound — commit-time validation covers mispredictions.
-[[nodiscard]] TxFootprint footprint_from_trace(const Transaction& tx,
-                                               vm::Word contract_id,
-                                               const vm::ExecTrace& trace);
-
-/// Index-aligned footprints of every transaction in `block`.
-[[nodiscard]] std::vector<TxFootprint> block_footprints(
-    const Block& block, const vm::ContractStore* store);
 
 /// True when the two footprints cannot safely run in parallel:
 /// write/write, write/read or read/write intersection, or either side

@@ -1,11 +1,11 @@
 // Transaction dependency DAG built from read/write footprints.
 //
-// Layer (2) of the execution pipeline (DESIGN.md §13). An edge i -> j
-// (i < j in block order) exists iff the two footprints conflict
-// (W∩W, W∩R or R∩W, or either side ⊤) — so every edge points forward and
-// the block's own order is always a valid topological order. The
-// scheduler derives wave-readiness from `preds` and the report fields
-// feed the chainsim/bench parallelism columns.
+// Layer (2) of the execution pipeline (DESIGN.md §13). Tx j must follow
+// tx i < j iff their footprints conflict (W∩W, W∩R or R∩W, or either side
+// ⊤), so block order is always a topological order. The edges kept are a
+// transitive reduction of those pairs, with the same reachability, levels
+// and latest predecessor per tx. The scheduler derives wave-readiness
+// from `preds`; the report fields feed the bench parallelism columns.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +16,11 @@
 namespace mc::chain::exec {
 
 struct TxDag {
-  /// preds[j] = conflicting predecessors of tx j, ascending. Because the
-  /// committed set is always a prefix, tx j is ready as soon as
-  /// preds[j].back() has committed.
+  /// preds[j] = direct predecessors of tx j, ascending. preds[j].back()
+  /// is the latest tx j conflicts with; because the committed set is
+  /// always a prefix, tx j is ready as soon as it has committed.
   std::vector<std::vector<std::uint32_t>> preds;
-  std::vector<std::vector<std::uint32_t>> succs;
-  std::size_t edges = 0;
+  std::size_t edges = 0;  ///< direct (reduced) edges
 
   /// Longest-path depth per tx (level 0 = no predecessors).
   std::vector<std::uint32_t> levels;
@@ -45,7 +44,10 @@ struct TxDag {
       const std::vector<std::uint32_t>& order) const;
 };
 
-/// Build the dependency DAG over index-aligned footprints.
+/// Build the dependency DAG over index-aligned footprints in one pass
+/// over their cells: a read depends on the cell's last writer, a write on
+/// the last writer and every reader since, a ⊤ tx on everything since
+/// the previous ⊤, and every tx on the latest ⊤ before it.
 [[nodiscard]] TxDag build_tx_dag(const std::vector<TxFootprint>& footprints);
 
 }  // namespace mc::chain::exec

@@ -1,11 +1,29 @@
 #include "chain/execution/footprints.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "chain/vm_hook.hpp"
 
 namespace mc::chain::exec {
+
+namespace {
+
+/// Cells of one run of contract `id` from the key sets a concretized
+/// summary and a recorded vm::ExecTrace share.
+template <typename KeySets>
+TxFootprint contract_footprint(vm::Word id, const KeySets& keys) {
+  TxFootprint fp;
+  for (const vm::Word key : keys.reads)
+    fp.reads.push_back({fp_domain::kContract, id, key});
+  for (const vm::Word key : keys.writes)
+    fp.writes.push_back({fp_domain::kContract, id, key});
+  for (const auto& [foreign, key] : keys.foreign_reads)
+    fp.reads.push_back({fp_domain::kContract, foreign, key});
+  fp.normalize();
+  return fp;
+}
+
+}  // namespace
 
 bool concretize_call_footprint(const Transaction& tx,
                                const vm::ContractStore& store,
@@ -40,17 +58,7 @@ bool concretize_call_footprint(const Transaction& tx,
   const vm::analysis::ConcreteFootprint cf =
       vm::analysis::concretize_footprint(*fp, env);
   if (!cf.exact()) return false;
-
-  TxFootprint result;
-  result.reads.insert(balance_cell_of(tx.from));
-  result.writes.insert(balance_cell_of(tx.from));
-  for (const vm::Word key : cf.reads)
-    result.reads.insert({fp_domain::kContract, dc->id, key});
-  for (const vm::Word key : cf.writes)
-    result.writes.insert({fp_domain::kContract, dc->id, key});
-  for (const auto& fr : cf.foreign_reads)
-    result.reads.insert({fp_domain::kContract, fr.first, fr.second});
-  out = std::move(result);
+  out = contract_footprint(dc->id, cf);
   return true;
 }
 
@@ -58,12 +66,9 @@ TxFootprint scheduling_footprint(const Transaction& tx,
                                  const vm::ContractStore* store,
                                  std::uint64_t height) {
   TxFootprint fp = tx_footprint(tx, store);
-  if (!fp.unbounded) return fp;
-  if (store != nullptr) {
-    TxFootprint concrete;
-    if (concretize_call_footprint(tx, *store, height, concrete))
-      return concrete;
-  }
+  // A failed concretization leaves the ⊤ footprint as it is.
+  if (fp.unbounded && store != nullptr)
+    (void)concretize_call_footprint(tx, *store, height, fp);
   return fp;
 }
 
@@ -91,7 +96,7 @@ void FootprintProvider::record(const Transaction& tx, vm::Word contract_id,
     }
     order_.push_back(id);
   }
-  dynamic_[id] = footprint_from_trace(tx, contract_id, trace);
+  dynamic_[id] = contract_footprint(contract_id, trace);
 }
 
 }  // namespace mc::chain::exec

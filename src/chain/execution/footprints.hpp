@@ -30,7 +30,7 @@ namespace mc::chain::exec {
 
 /// Concretizer: evaluate the per-selector symbolic footprint summary of
 /// `tx`'s target against its concrete calldata/sender/height and write
-/// the exact conflict cells (ledger cells included) into `out`. Returns
+/// the exact contract cells the call can observe into `out`. Returns
 /// false — leaving `out` untouched — when the tx is not a bounded-fit
 /// Call, the summary is incomplete, or some key fails to evaluate.
 [[nodiscard]] bool concretize_call_footprint(const Transaction& tx,

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 namespace mc {
@@ -50,47 +51,53 @@ void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
 
-  // Chunked fan-out: one contiguous index range per worker plus one the
-  // calling thread runs inline. Queueing O(workers) tasks instead of O(n)
-  // keeps the per-item cost at ~zero for fine-grained bodies (per-tx
-  // signature checks), and caller participation means a 1-worker pool
-  // costs one enqueue, not a blocking round-trip per item. Every index is
-  // still attempted even when some bodies throw; the first exception (in
-  // index order) is rethrown after all chunks finish.
-  const std::size_t chunks = std::min(n, workers_.size() + 1);
-  const auto run_range = [&fn](std::size_t begin,
-                               std::size_t end) -> std::exception_ptr {
-    std::exception_ptr first;
-    for (std::size_t i = begin; i < end; ++i) {
+  // Dynamic claiming: the caller and up to size() queued helpers each
+  // take the next unclaimed index from one shared counter until none is
+  // left, so an expensive body holds up only its own claimant while the
+  // others drain the rest. Queueing O(workers) tasks instead of O(n)
+  // keeps the per-item cost at one atomic increment for fine-grained
+  // bodies (per-tx signature checks), and caller participation means a
+  // 1-worker pool costs one enqueue, not a blocking round-trip per item.
+  // Every index is still attempted even when some bodies throw; the
+  // lowest-index exception is rethrown after every claimant finishes.
+  struct Failure {
+    std::size_t index;
+    std::exception_ptr error;
+  };
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&next, n, &fn]() -> Failure {
+    // Claims ascend, so a claimant's first failure is its lowest.
+    Failure first{n, nullptr};
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         fn(i);
       } catch (...) {
-        if (first == nullptr) first = std::current_exception();
+        if (first.error == nullptr) first = {i, std::current_exception()};
       }
     }
     return first;
   };
 
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  const auto chunk_begin = [&](std::size_t c) {
-    return c * base + std::min(c, extra);
-  };
-
-  std::vector<std::future<std::exception_ptr>> futures;
-  futures.reserve(chunks - 1);
-  for (std::size_t c = 1; c < chunks; ++c)
-    futures.push_back(submit([&run_range, begin = chunk_begin(c),
-                              end = chunk_begin(c + 1)] {
-      return run_range(begin, end);
-    }));
-
-  std::exception_ptr first = run_range(chunk_begin(0), chunk_begin(1));
-  for (auto& f : futures) {
-    const std::exception_ptr chunk_first = f.get();
-    if (first == nullptr) first = chunk_first;
+  const std::size_t helpers = std::min(n - 1, workers_.size());
+  std::vector<std::future<Failure>> futures;
+  futures.reserve(helpers);
+  try {
+    for (std::size_t h = 0; h < helpers; ++h)
+      futures.push_back(submit(drain));
+  } catch (...) {
+    // The pool is stopping. Helpers already queued still run, and they
+    // reference this frame, so wait for them before leaving it.
+    for (auto& f : futures) f.wait();
+    throw;
   }
-  if (first != nullptr) std::rethrow_exception(first);
+
+  Failure first = drain();
+  for (auto& f : futures) {
+    const Failure helper = f.get();
+    if (helper.index < first.index) first = helper;
+  }
+  if (first.error != nullptr) std::rethrow_exception(first.error);
 }
 
 }  // namespace mc

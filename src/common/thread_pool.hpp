@@ -1,7 +1,11 @@
-// Fixed-size worker pool used by the off-chain analytics scheduler.
+// Fixed-size worker pool shared by the off-chain analytics fan-out, the
+// block validator's signature batches and the execution waves.
 //
 // The transformed architecture runs one analytics task per data site in
 // parallel; sites map onto pool workers. Task submission is thread-safe.
+// parallel_for hands indices out one at a time from a shared counter, so
+// bodies of uneven cost (a costly contract run beside a cheap one) spread
+// across the pool instead of stalling on a fixed split.
 #pragma once
 
 #include <condition_variable>
@@ -46,9 +50,11 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// Every task finishes (or is observed failed) before this returns; if
-  /// any body threw, the first exception is rethrown afterwards.
+  /// Run fn(i) exactly once for each i in [0, n) and wait for completion.
+  /// The caller and up to size() workers claim indices dynamically, in
+  /// ascending order. Every body finishes (or is observed failed) before
+  /// this returns; if any body threw, the exception of the lowest
+  /// throwing index is rethrown afterwards.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }

@@ -195,7 +195,7 @@ TEST(Serial, VarintRejectsOverlongEncodings) {
   // 0x80 0x00 decodes to the same value as plain 0x00 under a permissive
   // reader; canonical decoding must reject the padded form so every value
   // has exactly one wire representation (one content id).
-  for (const Bytes evil :
+  for (const Bytes& evil :
        {Bytes{0x80, 0x00}, Bytes{0xff, 0x00}, Bytes{0x81, 0x80, 0x00}}) {
     ByteReader r{BytesView(evil)};
     EXPECT_THROW(r.varint(), SerialError) << "overlong varint accepted";

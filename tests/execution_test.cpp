@@ -238,10 +238,10 @@ struct OwningVmHook : StoreHolder, VmExecutionHook {
 
 TEST(ParallelExec, TransferChainMatchesSequential) {
   ParallelRig rig;
-  // Blocks mixing disjoint sender/recipient pairs (wide waves) with
-  // overlapping recipients and repeat senders (DAG edges). With a Call in
-  // the block, the wave path schedules it; without one, the block has no
-  // wave work and runs sequentially.
+  // Blocks mixing disjoint sender/recipient pairs with overlapping
+  // recipients and repeat senders. With a Call in the block, the wave
+  // path schedules it; without one, the block has no wave work and runs
+  // sequentially.
   const auto transfers = [&](int b) {
     std::vector<Transaction> txs;
     for (std::size_t u = 0; u < rig.users.size(); ++u) {
@@ -277,18 +277,128 @@ TEST(ParallelExec, TransferChainMatchesSequential) {
   const vm::Word counter = *rig.builder.hook.contract_id_of(deploy.id());
 
   // The same transfer shape plus one Call per block: the transfers, the
-  // same-sender chain included, now commit from waves.
+  // same-sender chain included, now commit from waves. Their ledger side
+  // is applied in block order at each commit slot, so the same-sender
+  // chain adds no edges and each block is one wave.
   for (int b = 5; b < 8; ++b) {
     std::vector<Transaction> txs = transfers(b);
     txs.push_back(make_call(rig.users[5], counter, {1, 1}, rig.next_nonce(5)));
     rig.commit(txs, 1'000 * (b + 2));
   }
   rig.expect_converged();
-  EXPECT_GT(m.waves, 0u);
-  EXPECT_GT(m.parallel_txs, 0u);
-  EXPECT_GT(m.dag_edges, 0u);  // the same-sender chain forces edges
+  EXPECT_EQ(m.waves, 3u);
+  EXPECT_EQ(m.parallel_txs, 3u * 11u);
+  EXPECT_EQ(m.dag_edges, 0u);
+
+  // Two calls to the same counter write one contract cell: that still
+  // orders them, one edge and one more wave.
+  std::vector<Transaction> txs = transfers(8);
+  txs.push_back(make_call(rig.users[5], counter, {1, 2}, rig.next_nonce(5)));
+  txs.push_back(make_call(rig.users[6], counter, {1, 3}, rig.next_nonce(6)));
+  rig.commit(txs, 11'000);
+  rig.expect_converged();
+  EXPECT_EQ(m.dag_edges, 1u);
+  EXPECT_EQ(m.waves, 5u);
   // The sequential replica never entered the wave path.
   EXPECT_EQ(rig.seq.node.executor().metrics().parallel_txs, 0u);
+}
+
+// One sender, two contracts: the calls share only the sender's ledger
+// account, which no wave touches, so they speculate side by side.
+TEST(ParallelExec, OneSenderCallsOnTwoContractsShareAWave) {
+  const auto users = make_users(8);
+  const ChainParams params = params_with_premine(users);
+  ThreadPool pool{4};
+  ExecStack par(params, exec::ExecutionConfig{4, &pool});
+  ExecStack seq(params, exec::ExecutionConfig{});
+  WorldState par_state;
+  WorldState seq_state;
+  for (const auto& [addr, amount] : params.premine) {
+    par_state.credit(addr, amount);
+    seq_state.credit(addr, amount);
+  }
+
+  Block deploys;
+  deploys.header.height = 1;
+  deploys.txs = {make_deploy(users[0], vm::assemble(kCounterSource), 0),
+                 make_deploy(users[0], vm::assemble(kCounterSource), 1)};
+  par.apply(par_state, deploys);
+  seq.apply(seq_state, deploys);
+  if (testing::Test::HasFatalFailure()) return;
+  const vm::Word a = *par.hook.contract_id_of(deploys.txs[0].id());
+  const vm::Word b = *par.hook.contract_id_of(deploys.txs[1].id());
+
+  Block calls;
+  calls.header.height = 2;
+  calls.txs = {make_call(users[1], a, {1, 5}, 0),
+               make_call(users[1], b, {1, 6}, 1)};
+  par.apply(par_state, calls);
+  seq.apply(seq_state, calls);
+  if (testing::Test::HasFatalFailure()) return;
+
+  const exec::BlockExecMetrics& m = par.executor.metrics();
+  EXPECT_EQ(m.waves, 1u);
+  EXPECT_EQ(m.dag_edges, 0u);
+  EXPECT_EQ(m.parallel_txs, 2u);
+  EXPECT_EQ(m.aborts, 0u);
+  EXPECT_EQ(par_state.digest(), seq_state.digest());
+  EXPECT_EQ(par.store.digest(), seq.store.digest());
+  expect_same_receipts(par, seq);
+}
+
+// The ledger side is not in any footprint, so a sender's later tx can
+// share a wave with the call whose fee starves it. The balance check
+// runs at each commit slot in block order, so both paths reject the
+// block at the same tx with the same error.
+TEST(ParallelExec, CallFeeStarvingTheSendersNextTxRejectedIdentically) {
+  const auto users = make_users(8);
+  const ChainParams params = params_with_premine(users);
+  ThreadPool pool{4};
+  ExecStack par(params, exec::ExecutionConfig{4, &pool});
+  ExecStack seq(params, exec::ExecutionConfig{});
+
+  Block deploys;
+  deploys.header.height = 1;
+  deploys.txs = {make_deploy(users[0], vm::assemble(kCounterSource), 0),
+                 make_deploy(users[0], vm::assemble(kCounterSource), 1)};
+  const Address payee =
+      crypto::address_of(crypto::key_from_seed("exec-payee").pub);
+  std::vector<exec::BlockExecResult> results;
+  for (ExecStack* stack : {&par, &seq}) {
+    WorldState state;
+    for (const auto& [addr, amount] : params.premine)
+      state.credit(addr, amount);
+    stack->apply(state, deploys);
+    if (testing::Test::HasFatalFailure()) return;
+    const vm::Word a = *stack->hook.contract_id_of(deploys.txs[0].id());
+    const vm::Word b = *stack->hook.contract_id_of(deploys.txs[1].id());
+
+    // users[1] starts with exactly its premine; its transfer at index 3
+    // needs all of it (amount + 21'000 max fee), so the call's fee at
+    // index 1 leaves it short.
+    Block block;
+    block.header.height = 2;
+    block.txs = {
+        make_transfer(users[2], payee, 10, 0),
+        make_call(users[1], a, {1, 5}, 0),
+        make_call(users[3], b, {1, 6}, 0),
+        make_transfer(users[1], payee, Amount{1'000'000'000} - 21'000, 1),
+        make_transfer(users[4], payee, 10, 0)};
+    results.push_back(stack->executor.execute_block(state, block));
+  }
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_EQ(results[0].error, "insufficient balance");
+  EXPECT_EQ(results[0].error, results[1].error);
+  EXPECT_EQ(results[0].txs_applied, 3u);
+  EXPECT_EQ(results[0].txs_applied, results[1].txs_applied);
+  EXPECT_EQ(results[0].gas_used, results[1].gas_used);
+  // The parallel replica took the wave path and put the starving call and
+  // the starved transfer in one wave.
+  EXPECT_EQ(par.executor.metrics().waves, 1u);
+  EXPECT_EQ(par.executor.metrics().dag_edges, 0u);
+  EXPECT_EQ(par.store.digest(), seq.store.digest());
 }
 
 // --- contract convergence ---------------------------------------------------
@@ -551,8 +661,8 @@ TEST(ParallelExec, ProposerSpendingAfterFeeCreditsMatchesSequential) {
   const vm::Word counter = *par.hook.contract_id_of(deploy.id());
 
   // Fee-paying txs first, then the proposer's own transfer and call.
-  // The transfer's footprint ({proposer, payee}) overlaps no earlier tx,
-  // so it is scheduled into the first wave beside them.
+  // The transfer has no footprint cells, so it is scheduled into the
+  // first wave beside them.
   Block block;
   block.header.height = 2;
   block.header.proposer = crypto::address_of(users[0].pub);

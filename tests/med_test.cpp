@@ -125,7 +125,9 @@ TEST(Schema, UnitConversionsApplied) {
 
   const RawRow b = denormalize(r, SchemaKind::HospitalLegacyB, "");
   for (const auto& [name, value] : b.fields) {
-    if (name == "glukose_mmol") EXPECT_NEAR(value, 5.0, 1e-6);
+    if (name == "glukose_mmol") {
+      EXPECT_NEAR(value, 5.0, 1e-6);
+    }
   }
 }
 
@@ -134,7 +136,9 @@ TEST(Schema, SexCodingOffsetInLegacyA) {
   male.sex = 1.0;
   const RawRow row = denormalize(male, SchemaKind::HospitalLegacyA, "");
   for (const auto& [name, value] : row.fields) {
-    if (name == "sex_code") EXPECT_DOUBLE_EQ(value, 2.0);  // 2 = male
+    if (name == "sex_code") {
+      EXPECT_DOUBLE_EQ(value, 2.0);  // 2 = male
+    }
   }
   EXPECT_DOUBLE_EQ(
       normalize(row, SchemaKind::HospitalLegacyA).fields.at("sex"), 1.0);

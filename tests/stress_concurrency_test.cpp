@@ -78,6 +78,41 @@ TEST(StressConcurrency, ParallelForFromMultipleThreads) {
   EXPECT_EQ(total.load(), 4u * 10u * (32u * 33u / 2u));
 }
 
+TEST(StressConcurrency, ParallelForSkewedBodies) {
+  // Bodies of very uneven cost — every 16th index runs a long mixing
+  // loop, the rest a short one — from three caller threads on one shared
+  // pool, the shape of a wave with a few costly contract runs. Claimants
+  // race on the shared index counter; every slot must be written exactly
+  // once, by its own body, with the sequential value.
+  const auto mix = [](std::size_t i) {
+    std::uint64_t x = i + 1;
+    const std::size_t rounds = i % 16 == 0 ? 20'000 : 10;
+    for (std::size_t r = 0; r < rounds; ++r)
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x;
+  };
+  ThreadPool pool(4);
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 3; ++t) {
+    callers.emplace_back([&pool, &wrong, &mix, t] {
+      for (int round = 0; round < 8; ++round) {
+        const std::size_t n = 48 + 16 * t;
+        std::vector<std::uint64_t> out(n, 0);
+        std::vector<int> runs(n, 0);
+        pool.parallel_for(n, [&](std::size_t i) {
+          out[i] = mix(i);
+          ++runs[i];
+        });
+        for (std::size_t i = 0; i < n; ++i)
+          if (out[i] != mix(i) || runs[i] != 1) ++wrong;
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
 TEST(StressConcurrency, ConcurrentMempoolIngestAndSelect) {
   chain::ChainParams params;
   chain::WorldState state;

@@ -1,11 +1,13 @@
 // ThreadPool edge cases: submit-after-stop, exception propagation through
-// futures, degenerate and throwing parallel_for bodies, destructor draining.
+// futures, degenerate, throwing and uneven parallel_for bodies, destructor
+// draining.
 // These run in every sanitizer preset (see CMakePresets.json).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,11 +53,40 @@ TEST(ThreadPool, ParallelForRethrowsAfterAllBodiesFinish) {
       ++completed;
     });
     FAIL() << "parallel_for swallowed the body exception";
-  } catch (const std::runtime_error&) {
+  } catch (const std::runtime_error& e) {
     // Every non-throwing body must have run to completion before the
     // rethrow — parallel_for may not abandon stragglers.
     EXPECT_EQ(completed.load(), static_cast<int>(n - n / 8));
+    // Whichever claimant hit it, the lowest throwing index wins.
+    EXPECT_STREQ(e.what(), "body 3");
   }
+}
+
+TEST(ThreadPool, ParallelForSlowIndexDoesNotStallTheRest) {
+  // Index 0 stays busy until every other index has run (or a generous
+  // deadline passes). Under dynamic claiming the other claimants drain
+  // the rest meanwhile; a fixed split would park indices behind it on the
+  // same thread and the wait would time out.
+  ThreadPool pool(4);
+  const std::size_t n = 200;
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<std::size_t> others_done{0};
+  bool drained_while_slow = false;
+  pool.parallel_for(n, [&](std::size_t i) {
+    ++hits[i];
+    if (i != 0) {
+      ++others_done;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (others_done.load() < n - 1 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    drained_while_slow = others_done.load() == n - 1;
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_TRUE(drained_while_slow);
 }
 
 TEST(ThreadPool, SubmitAfterStopThrows) {

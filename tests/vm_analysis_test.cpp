@@ -633,15 +633,18 @@ TEST(Soundness, CorpusReplayStaysInsideStaticBounds) {
 // Per-block conflict reports
 // ---------------------------------------------------------------------------
 
-TEST(Conflict, DisjointTransfersCommuteAndSharedPartiesConflict) {
+TEST(Conflict, TransfersCarryNoCellsAndDeploysShareTheRegistry) {
   using namespace mc::chain;
   const auto k1 = crypto::key_from_seed("conflict-a");
   const auto k2 = crypto::key_from_seed("conflict-b");
   const auto k3 = crypto::key_from_seed("conflict-c");
   const auto k4 = crypto::key_from_seed("conflict-d");
 
+  // The ledger side of a tx is applied in block order at its commit slot
+  // and never speculated, so transfers order nothing — not even two from
+  // one sender, or one that credits another's sender.
   Block block;
-  // tx0: a -> b, tx1: c -> d (disjoint), tx2: a -> c (shares sender a).
+  // tx0: a -> b, tx1: c -> d, tx2: a -> c (shares sender a, credits c).
   block.txs.push_back(
       make_transfer(k1, crypto::address_of(k2.pub), 10, /*nonce=*/0));
   block.txs.push_back(
@@ -653,10 +656,18 @@ TEST(Conflict, DisjointTransfersCommuteAndSharedPartiesConflict) {
       analyze_block_conflicts(block, /*store=*/nullptr);
   EXPECT_EQ(r.txs, 3u);
   EXPECT_EQ(r.pairs, 3u);
-  // (0,1) disjoint; (0,2) same sender; (1,2) tx2 credits c = tx1's sender.
-  EXPECT_EQ(r.conflicting_pairs, 2u);
+  EXPECT_EQ(r.conflicting_pairs, 0u);
   EXPECT_EQ(r.unbounded_txs, 0u);
-  EXPECT_NEAR(r.conflict_rate(), 2.0 / 3.0, 1e-9);
+  EXPECT_EQ(r.conflict_rate(), 0.0);
+
+  // Deploys draw ids from one store nonce: they share the registry cell.
+  const Bytes code = assemble("STOP");
+  Block deploys;
+  deploys.txs.push_back(make_deploy(k1, code, /*nonce=*/0));
+  deploys.txs.push_back(make_deploy(k3, code, /*nonce=*/0));
+  deploys.txs.push_back(
+      make_transfer(k2, crypto::address_of(k4.pub), 10, /*nonce=*/0));
+  EXPECT_EQ(analyze_block_conflicts(deploys, nullptr).conflicting_pairs, 1u);
 }
 
 TEST(Conflict, CallFootprintsComeFromTheStaticReport) {
