@@ -58,6 +58,33 @@ void public_chain_sweep(ConsensusKind consensus, const char* name) {
   table.print();
 }
 
+/// Short block intervals fork the public chains (8 nodes, 30 s of
+/// simulated time). Each reorg re-executes the blocks it connects, so
+/// forks show up as exec_duplication above the node count.
+void fork_sweep() {
+  banner("C1: forks vs block interval (8-node gossip network)");
+  Table table({"consensus", "interval_s", "produced", "best_chain",
+               "committed", "txs_executed", "exec_duplication"});
+  for (const ConsensusKind consensus :
+       {ConsensusKind::ProofOfWork, ConsensusKind::ProofOfStake}) {
+    for (const double interval : {0.5, 0.2, 0.1}) {
+      ChainSimConfig config = base_config(consensus, 8);
+      config.params.block_interval_s = interval;
+      config.sim_limit_s = 30.0;
+      const ChainSimReport report = run_chain_sim(config);
+      table.row()
+          .cell(consensus == ConsensusKind::ProofOfWork ? "PoW" : "PoS")
+          .cell(interval, 2)
+          .cell(report.blocks_produced)
+          .cell(report.blocks_on_best_chain)
+          .cell(report.committed_txs)
+          .cell(report.total_txs_executed)
+          .cell(report.execution_duplication, 2);
+    }
+  }
+  table.print();
+}
+
 void pbft_sweep() {
   banner("C1: PBFT consortium vs cluster size (50 requests)");
   Table table({"replicas", "quorum", "committed", "avg_latency_s",
@@ -150,6 +177,7 @@ int main(int argc, char** argv) {
   if (!g_batch_verify) std::puts("(batch signature verification OFF)");
   public_chain_sweep(ConsensusKind::ProofOfWork, "proof-of-work");
   public_chain_sweep(ConsensusKind::ProofOfStake, "proof-of-stake");
+  fork_sweep();
   pbft_sweep();
   gossip_loss_sweep();
   pbft_fault_latency();

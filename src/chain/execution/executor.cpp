@@ -27,6 +27,7 @@ BlockExecResult BlockExecutor::execute_block(WorldState& state,
                                              bool sigs_prechecked) {
   BlockExecResult out;
   ++metrics_.blocks;
+  state.open_block();
   // Waves only pay off for contract calls; any other block (transfers,
   // anchors, deploys) runs the sequential path with no scheduling work.
   const auto is_call = [](const Transaction& tx) {
@@ -43,6 +44,8 @@ BlockExecResult BlockExecutor::execute_block(WorldState& state,
   metrics_.txs += out.txs_seen;
   if (!out.ok) return out;
   state.credit(block.header.proposer, params_.block_reward);
+  // The one place both stores seal: their windows advance in lockstep.
+  state.seal_block(block.header.height);
   if (hook_ != nullptr) hook_->on_block_connected(block.header.height);
   return out;
 }

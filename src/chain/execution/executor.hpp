@@ -1,19 +1,17 @@
 // BlockExecutor: the block execution pipeline (DESIGN.md §13).
 //
-// Extracted from Node::apply_block, now layered: footprint provider →
-// dependency DAG → wave scheduler. A block takes the wave path only when
-// workers > 1, a pool is set, the hook offers speculation and the block
-// holds more than one tx, at least one of them a contract Call; every
-// other block runs the exact sequential path. On the wave path workers
-// speculate contract Calls (SpeculativeCall) against the frozen store;
-// nothing else does wave work and no worker touches the ledger. Commit
-// then runs single-threaded in strict block order: each tx's validated
-// run (or a re-run when its observations went stale) is committed and
-// its ledger side applied through WorldState::apply at its commit slot,
-// the same step the sequential path takes. Final state, receipts, events
-// and the accept/reject verdict are bit-identical to sequential
-// execution — ChainAuditor::audit_parallel_execution enforces exactly
-// that.
+// Layered: footprint provider → dependency DAG → wave scheduler. A block takes
+// the wave path only when workers > 1, a pool is set, the hook offers
+// speculation and the block holds more than one tx, at least one of them a
+// contract Call; every other block runs the exact sequential path. On the wave
+// path workers speculate contract Calls (SpeculativeCall) against the frozen
+// store; nothing else does wave work and no worker touches the ledger. Commit
+// then runs single-threaded in strict block order: each tx's validated run (or
+// a re-run when its observations went stale) is committed and its ledger side
+// applied through WorldState::apply at its commit slot, the same step the
+// sequential path takes. Final state, receipts, events and the accept/reject
+// verdict are bit-identical to sequential execution —
+// ChainAuditor::audit_parallel_execution enforces exactly that.
 #pragma once
 
 #include <cstdint>
@@ -102,10 +100,10 @@ class BlockExecutor {
   }
 
   /// Execute every transaction of `block` against `state`, then credit
-  /// the proposer reward and checkpoint the hook — the full body of the
-  /// old Node::apply_block. On failure `state` holds the partial prefix
-  /// (both paths stop at the same tx); the caller discards it and rolls
-  /// the hook back, exactly as before.
+  /// the proposer reward and seal the block's undo records: the ledger's
+  /// (opened here) and, through on_block_connected, the hook's. On
+  /// failure both records stay open over the partial prefix (both paths
+  /// stop at the same tx); the caller rolls both stores back.
   BlockExecResult execute_block(WorldState& state, const Block& block,
                                 std::vector<TxReceipt>* receipts = nullptr,
                                 bool sigs_prechecked = false);

@@ -7,9 +7,8 @@
 
 namespace mc::chain {
 
-bool Mempool::add(const Transaction& tx, bool assume_verified) {
-  if (!assume_verified && !tx.verify_signature())
-    return false;  // verify outside the lock
+bool Mempool::add(const Transaction& tx) {
+  if (!tx.verify_signature()) return false;  // verify outside the lock
   const TxId id = tx.id();
   MutexLock lock(mutex_);
   return by_id_.emplace(id, tx).second;

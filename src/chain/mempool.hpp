@@ -34,11 +34,9 @@ class Mempool {
     return *this;
   }
 
-  /// Add a transaction; rejects duplicates and bad signatures.
-  /// Returns true if accepted. `assume_verified` skips the signature
-  /// check when the caller already verified it (avoids double Schnorr
-  /// work on the Node::submit path).
-  bool add(const Transaction& tx, bool assume_verified = false);
+  /// Add a transaction; rejects duplicates and bad signatures (verified
+  /// here, outside the lock). Returns true if accepted.
+  bool add(const Transaction& tx);
 
   /// True if the pool already holds this transaction id.
   [[nodiscard]] bool contains(const TxId& id) const {

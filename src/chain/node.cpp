@@ -7,18 +7,9 @@
 #include "chain/block_validator.hpp"
 #include "chain/execution/executor.hpp"
 #include "chain/pow.hpp"
+#include "common/undo_window.hpp"
 
 namespace mc::chain {
-
-namespace {
-
-/// Audit builds re-derive every committed ledger digest from scratch.
-void check_commitment(const WorldState& state) {
-  MC_DCHECK(audit::reference_state_digest(state) == state.digest(),
-            "incremental state commitment diverged from the reference");
-}
-
-}  // namespace
 
 Node::Node(crypto::PrivateKey key, ChainParams params, Block genesis,
            ExecutionHook* hook)
@@ -29,10 +20,10 @@ Node::Node(crypto::PrivateKey key, ChainParams params, Block genesis,
       executor_(
           std::make_unique<exec::BlockExecutor>(std::move(params), hook)) {
   genesis_id_ = genesis.id();
-  blocks_.emplace(genesis_id_, StoredBlock{genesis, 0});
+  blocks_.emplace(genesis_id_, std::move(genesis));
   tip_ = genesis_id_;
   tip_height_ = 0;
-  for (const auto& [addr, amount] : params_.premine) state_.credit(addr, amount);
+  reset_to_genesis();
 }
 
 Node::~Node() = default;
@@ -44,11 +35,10 @@ void Node::set_execution(const exec::ExecutionConfig& config) {
 }
 
 bool Node::submit(const Transaction& tx) {
+  // One signature check per submit, made inside the mempool's add().
   ++counters_.sig_verifications;
-  if (!tx.verify_signature()) return false;
   if (committed_txs_.count(tx.id()) > 0) return false;
-  // Just verified above — don't pay for the Schnorr check twice.
-  return mempool_.add(tx, /*assume_verified=*/true);
+  return mempool_.add(tx);
 }
 
 std::optional<Block> Node::produce_pow(std::uint64_t time_ms,
@@ -72,99 +62,100 @@ Block Node::propose(std::uint64_t time_ms) {
   block.txs = mempool_.select(state_, params_, params_.max_block_txs);
   block.header.tx_root = block.compute_tx_root();
 
-  // Preview pass: derive the post-block state commitment by applying in
-  // place and undoing through the state journal. A selected tx that
-  // fails execution (e.g. a reverting contract call) is evicted and the
-  // block falls back to empty rather than proposing garbage. Every
-  // selected tx passed the mempool's signature check, so the preview
-  // skips re-verifying Schnorr.
-  state_.checkpoint();
-  if (!apply_block(state_, block, /*count=*/false)) {
-    state_.revert();
-    if (hook_ != nullptr) hook_->rollback_to(tip_height_);
+  // Preview pass, charging no work counters: execute in place for the
+  // post-block state commitment, then rewind. A selected tx that fails
+  // execution (e.g. a reverting contract call) is evicted and the block
+  // falls back to empty rather than proposing garbage. Every selected tx
+  // passed the mempool's signature check, so Schnorr is not re-verified.
+  if (!executor_->execute_block(state_, block, nullptr, true).ok) {
+    rewind(tip_height_);
     mempool_.remove(block.txs);
     block.txs.clear();
     block.header.tx_root = block.compute_tx_root();
-    state_.checkpoint();
-    apply_block(state_, block, /*count=*/false);  // reward only
+    executor_->execute_block(state_, block);  // reward only
   }
-  block.header.state_root = state_commitment(state_);
-  state_.revert();
-  if (hook_ != nullptr) hook_->rollback_to(tip_height_);
+  block.header.state_root = state_commitment();
+  rewind(tip_height_);
   MC_DCHECK(block.tx_root_valid(), "proposed block with stale tx_root");
   MC_DCHECK(block.txs.size() <= params_.max_block_txs,
             "proposed block exceeds max_block_txs");
   return block;
 }
 
-std::vector<const Block*> Node::path_from_genesis(const BlockId& id) const {
-  std::vector<const Block*> path;
-  BlockId cursor = id;
-  while (true) {
-    auto it = blocks_.find(cursor);
-    if (it == blocks_.end()) return {};  // disconnected
-    path.push_back(&it->second.block);
-    if (cursor == genesis_id_) break;
-    cursor = it->second.block.header.parent;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Hash256 Node::state_commitment(const WorldState& state) const {
+Hash256 Node::state_commitment() const {
   return crypto::sha256_pair(
-      state.digest(), hook_ != nullptr ? hook_->state_digest() : Hash256{});
+      state_.digest(), hook_ != nullptr ? hook_->state_digest() : Hash256{});
 }
 
-bool Node::apply_block(WorldState& state, const Block& block, bool count,
-                       std::vector<TxReceipt>* receipts) {
-  // Delegated to the execution pipeline (chain/execution): sequential or
-  // wave-parallel per the node's ExecutionConfig, identical results
-  // either way. Work counters are charged exactly as the old inline loop
-  // did: one signature check per tx entered, execution work per tx
-  // applied.
+bool Node::connect(const Block& block, std::vector<TxReceipt>* receipts) {
   const exec::BlockExecResult result =
-      executor_->execute_block(state, block, receipts,
-                               /*sigs_prechecked=*/true);
-  if (count) {
-    counters_.sig_verifications += result.txs_seen;
-    counters_.txs_executed += result.txs_applied;
-    counters_.gas_executed += result.gas_used;
-  }
-  return result.ok;
+      executor_->execute_block(state_, block, receipts, true);
+  counters_.sig_verifications += result.txs_seen;
+  counters_.txs_executed += result.txs_applied;
+  counters_.gas_executed += result.gas_used;
+  return result.ok && state_commitment() == block.header.state_root;
 }
 
-std::optional<WorldState> Node::replay(
-    const std::vector<const Block*>& path,
-    std::vector<TxReceipt>* receipts) {
-  WorldState fresh;
-  for (const auto& [addr, amount] : params_.premine) fresh.credit(addr, amount);
-  if (hook_ != nullptr) hook_->rollback_to(0);
-  for (const Block* b : path) {
-    if (b->header.height == 0) continue;  // genesis carries no txs
-    // Every stored block passed the signature pre-check in receive().
-    if (!apply_block(fresh, *b, /*count=*/true, receipts))
-      return std::nullopt;
-    if (state_commitment(fresh) != b->header.state_root)
-      return std::nullopt;  // branch lies about its state
-  }
-  return fresh;
+void Node::rewind(Height height) {
+  if (height > 0 || state_.can_rollback_to(0))
+    state_.rollback_to(height);  // MC_ASSERTs that `height` is in reach
+  else
+    reset_to_genesis();
+  if (hook_ != nullptr) hook_->rollback_to(height);
 }
 
-void Node::adopt(const BlockId& id, Height height, WorldState&& new_state,
-                 const std::vector<const Block*>& path,
-                 std::vector<TxReceipt> receipts) {
-  MC_DCHECK(!path.empty() && path.back()->id() == id,
-            "adopt path does not end at the new tip");
-  MC_DCHECK(path.size() == height + 1,
-            "adopt path length disagrees with the new tip height");
+void Node::reset_to_genesis() {
+  state_ = WorldState{};
+  for (const auto& [addr, amount] : params_.premine) state_.credit(addr, amount);
+}
+
+bool Node::switch_tip(const BlockId& id, Height height) {
+  // Fork point: walk the new branch and the best chain back to their
+  // common ancestor — O(reorg depth), and just the tip for an extension.
+  std::vector<const Block*> branch;  // blocks to connect, newest first
+  std::vector<const Block*> old;     // blocks to disconnect, newest first
+  const auto step = [this](BlockId& cursor, std::vector<const Block*>& out) {
+    const Block& b = blocks_.at(cursor);
+    out.push_back(&b);
+    cursor = b.header.parent;
+  };
+  BlockId ours = tip_;
+  BlockId theirs = id;
+  Height base = height;
+  for (; base > tip_height_; --base) step(theirs, branch);
+  // The base is the fork point for a reorg of at most kUndoDepth blocks,
+  // else genesis: the shared blocks below the fork then re-connect too.
+  for (; theirs != ours || (base > 0 && tip_height_ - base > kUndoDepth);
+       --base) {
+    step(theirs, branch);
+    step(ours, old);
+  }
+  std::reverse(branch.begin(), branch.end());
+  std::reverse(old.begin(), old.end());
+
+  // Nothing to undo when the branch extends the tip.
+  if (base < tip_height_) rewind(base);
+  std::vector<TxReceipt> receipts;
+  for (const Block* b : branch) {
+    if (connect(*b, &receipts)) continue;
+    // Nothing of the branch may leak: re-apply the old, which connected.
+    rewind(base);
+    for (const Block* prev : old) {
+      const bool reconnected = connect(*prev, nullptr);
+      MC_ASSERT(reconnected, "the old best branch failed to reconnect");
+    }
+    return false;
+  }
+  // Audit builds re-derive every committed ledger digest from scratch.
+  MC_DCHECK(audit::reference_state_digest(state_) == state_.digest(),
+            "incremental state commitment diverged from the reference");
+  for (const Block* prev : old)
+    for (const Transaction& tx : prev->txs) committed_txs_.erase(tx.id());
+  for (const TxReceipt& r : receipts) committed_txs_[r.id] = r;
+  for (const Block* b : branch) mempool_.remove(b->txs);
   tip_ = id;
   tip_height_ = height;
-  state_ = std::move(new_state);
-  check_commitment(state_);
-  committed_txs_.clear();
-  for (auto& r : receipts) committed_txs_[r.id] = r;
-  for (const Block* b : path) mempool_.remove(b->txs);
+  return true;
 }
 
 BlockVerdict Node::receive(const Block& block) {
@@ -191,7 +182,7 @@ BlockVerdict Node::receive(const Block& block) {
   ++counters_.blocks_validated;
 
   // Structural checks.
-  if (block.header.height != parent_it->second.height + 1)
+  if (block.header.height != parent_it->second.header.height + 1)
     return BlockVerdict::Invalid;
   // Transaction-set check: Merkle root + every signature — aggregated
   // Schnorr batches per pool chunk when the validator has batching on,
@@ -208,45 +199,13 @@ BlockVerdict Node::receive(const Block& block) {
     return BlockVerdict::Invalid;
 
   const Height height = block.header.height;
-  blocks_.emplace(id, StoredBlock{block, height});
+  blocks_.emplace(id, block);
 
   BlockVerdict verdict = BlockVerdict::AcceptedSide;
   if (height > tip_height_) {
-    if (block.header.parent == tip_) {
-      // Common case: direct extension — apply in place on the live
-      // state; the journal undoes a rejected block.
-      state_.checkpoint();
-      std::vector<TxReceipt> receipts;
-      if (!apply_block(state_, block, /*count=*/true, &receipts) ||
-          state_commitment(state_) != block.header.state_root) {
-        // A failing tx, or a proposer that committed to a different
-        // post-state: neither ledger nor contract effects may leak.
-        state_.revert();
-        if (hook_ != nullptr) hook_->rollback_to(tip_height_);
-        blocks_.erase(id);
-        return BlockVerdict::Invalid;
-      }
-      state_.release_checkpoint();
-      check_commitment(state_);
-      MC_DCHECK(height == tip_height_ + 1,
-                "direct extension must advance the tip by exactly one");
-      tip_ = id;
-      tip_height_ = height;
-      for (auto& r : receipts) committed_txs_[r.id] = r;
-      mempool_.remove(block.txs);
-    } else {
-      // Reorg: replay the candidate branch from genesis.
-      const auto path = path_from_genesis(id);
-      std::vector<TxReceipt> receipts;
-      auto new_state = replay(path, &receipts);
-      if (!new_state.has_value()) {
-        blocks_.erase(id);
-        // Restore contract state of the still-best chain (this replay
-        // succeeded before, so it succeeds again).
-        if (hook_ != nullptr) replay(path_from_genesis(tip_));
-        return BlockVerdict::Invalid;
-      }
-      adopt(id, height, std::move(*new_state), path, std::move(receipts));
+    if (!switch_tip(id, height)) {
+      blocks_.erase(id);
+      return BlockVerdict::Invalid;
     }
     verdict = BlockVerdict::Accepted;
   }
@@ -272,12 +231,14 @@ void Node::retry_orphans(const BlockId& parent) {
 
 const Block* Node::block(const BlockId& id) const {
   auto it = blocks_.find(id);
-  return it == blocks_.end() ? nullptr : &it->second.block;
+  return it == blocks_.end() ? nullptr : &it->second;
 }
 
 std::vector<BlockId> Node::best_chain() const {
-  std::vector<BlockId> out;
-  for (const Block* b : path_from_genesis(tip_)) out.push_back(b->id());
+  std::vector<BlockId> out{tip_};
+  while (out.back() != genesis_id_)
+    out.push_back(blocks_.at(out.back()).header.parent);
+  std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -3,7 +3,8 @@
 // Every node re-validates and re-executes every transaction in every
 // block — the duplicated computing the paper sets out to transform. The
 // node counts its hash attempts, signature checks and executed VM gas so
-// experiments can expose that duplication directly.
+// experiments can expose that duplication directly. A new best tip rewinds
+// both stores to the fork point, then executes the branch (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -40,11 +41,12 @@ class ExecutionHook {
   /// Execute tx's contract side effects at `height`; returns gas used.
   virtual Gas execute(const Transaction& tx, Height height) = 0;
 
-  /// Roll contract state back to a snapshot taken at `height` (reorgs).
+  /// Roll contract state back to the seal of block `height` (DESIGN.md
+  /// §16); height 0 past the undo window resets to the empty state.
   virtual void rollback_to(Height height) = 0;
 
-  /// A block at `height` was fully applied — checkpoint contract state
-  /// so rollback_to(height) can restore it (default: no-op).
+  /// A block at `height` was fully applied — seal its contract undo
+  /// record, in lockstep with the ledger's (default: no-op).
   virtual void on_block_connected(Height height) { (void)height; }
 
   /// Digest of the hook's current contract state (folded into the block
@@ -166,38 +168,24 @@ class Node {
   }
 
  private:
-  struct StoredBlock {
-    Block block;
-    Height height = 0;
-  };
+  /// Execute `block` on the live state, charge the work counters (one
+  /// signature check per tx entered, though the BlockValidator pre-pass
+  /// made them) and check its state_root; appends receipts if non-null.
+  bool connect(const Block& block, std::vector<TxReceipt>* receipts);
 
-  /// Chain of blocks from genesis to `id`, or empty if disconnected.
-  [[nodiscard]] std::vector<const Block*> path_from_genesis(
-      const BlockId& id) const;
+  /// Connect the branch ending at `id` as the new tip (DESIGN.md §16);
+  /// false, with the old branch restored, if a branch block fails.
+  bool switch_tip(const BlockId& id, Height height);
 
-  /// Apply one block's transactions to `state`; false if any tx fails.
-  /// `count=false` applies without charging the node's work counters
-  /// (used by propose()'s preview pass). When `receipts` is non-null, a
-  /// receipt is appended per applied transaction. Every block reaching
-  /// here had its signatures checked already (the BlockValidator pre-pass
-  /// or the mempool), so per-tx checks are skipped; work counters still
-  /// charge one signature check per tx entered, keeping duplication
-  /// accounting comparable.
-  bool apply_block(WorldState& state, const Block& block, bool count = true,
-                   std::vector<TxReceipt>* receipts = nullptr);
+  /// Rewind both stores to best-chain height `height` (from genesis past
+  /// the undo window).
+  void rewind(Height height);
+
+  /// The ledger at height 0: a fresh state holding the premine.
+  void reset_to_genesis();
 
   /// Commitment over ledger + contract state (block header state_root).
-  [[nodiscard]] Hash256 state_commitment(const WorldState& state) const;
-
-  /// Re-derive state by applying `path`; returns nullopt if any tx
-  /// fails. Fills `receipts` for the whole branch when non-null.
-  std::optional<WorldState> replay(const std::vector<const Block*>& path,
-                                   std::vector<TxReceipt>* receipts = nullptr);
-
-  /// Adopt `id` as the new tip with `new_state` and branch `receipts`.
-  void adopt(const BlockId& id, Height height, WorldState&& new_state,
-             const std::vector<const Block*>& path,
-             std::vector<TxReceipt> receipts);
+  [[nodiscard]] Hash256 state_commitment() const;
 
   void retry_orphans(const BlockId& parent);
 
@@ -210,7 +198,7 @@ class Node {
   std::unique_ptr<exec::BlockExecutor> executor_;
   const BlockValidator* validator_ = nullptr;
 
-  std::unordered_map<BlockId, StoredBlock> blocks_;
+  std::unordered_map<BlockId, Block> blocks_;
   std::vector<Block> orphans_;
   BlockId genesis_id_{};
   BlockId tip_{};

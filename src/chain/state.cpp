@@ -220,10 +220,10 @@ Account WorldState::account(const Address& a) const {
 }
 
 void WorldState::journal(const Address& a) {
-  if (!checkpoint_.has_value()) return;
-  if (checkpoint_->prior.count(a) > 0) return;
+  BlockUndo* record = undo_.recording();
+  if (record == nullptr || record->prior.count(a) > 0) return;
   const Leaf* leaf = find(a);
-  checkpoint_->prior.emplace(
+  record->prior.emplace(
       a, leaf == nullptr ? std::nullopt : std::optional<Account>(leaf->acct));
 }
 
@@ -354,7 +354,7 @@ Hash256 WorldState::trie_root() const {
   return child_hash(root_);
 }
 
-// --- anchors, digest, journal ---------------------------------------------
+// --- anchors, digest, undo records --------------------------------------
 
 bool WorldState::anchored(const Address& owner, const Hash256& digest) const {
   return anchor_index_.count(AnchorKey{owner, digest}) > 0;
@@ -385,35 +385,36 @@ Hash256 WorldState::digest() const {
   return crypto::sha256(BytesView(w.data()));
 }
 
-void WorldState::checkpoint() {
-  MC_ASSERT(!checkpoint_.has_value(), "WorldState checkpoint already open");
-  checkpoint_.emplace();
-  checkpoint_->anchors = anchors_.size();
-  checkpoint_->anchor_acc = anchor_acc_;
-  checkpoint_->anchors_folded = anchors_folded_;
+void WorldState::open_block() {
+  if (undo_.recording() != nullptr) return;
+  BlockUndo& record = undo_.open();
+  record.anchors = anchors_.size();
+  record.anchor_acc = anchor_acc_;
+  record.anchors_folded = anchors_folded_;
 }
 
-void WorldState::revert() {
-  MC_ASSERT(checkpoint_.has_value(), "WorldState revert without checkpoint");
-  Checkpoint cp = std::move(*checkpoint_);
-  checkpoint_.reset();
-  for (const auto& [addr, prior] : cp.prior) {
+void WorldState::rollback_to(Height height) {
+  const bool reached = undo_.rollback_to(
+      height, [this](const BlockUndo& record) { undo(record); });
+  MC_ASSERT(reached, "ledger rollback past the retained undo records");
+}
+
+void WorldState::undo(const BlockUndo& record) {
+  for (const auto& [addr, prior] : record.prior) {
     if (prior.has_value())
       touch(addr).acct = *prior;
     else
-      erase(addr);  // created since the checkpoint
+      erase(addr);  // created since the record opened
   }
-  for (std::size_t i = cp.anchors; i < anchors_.size(); ++i) {
+  for (std::size_t i = record.anchors; i < anchors_.size(); ++i) {
     const auto it = anchor_index_.find(AnchorKey{anchors_[i].owner,
                                                  anchors_[i].digest});
     if (--it->second == 0) anchor_index_.erase(it);
   }
-  anchors_.resize(cp.anchors);
+  anchors_.resize(record.anchors);
   // The saved accumulator folds a prefix of the surviving anchors.
-  anchor_acc_ = cp.anchor_acc;
-  anchors_folded_ = cp.anchors_folded;
+  anchor_acc_ = record.anchor_acc;
+  anchors_folded_ = record.anchors_folded;
 }
-
-void WorldState::release_checkpoint() { checkpoint_.reset(); }
 
 }  // namespace mc::chain

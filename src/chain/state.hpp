@@ -16,6 +16,7 @@
 
 #include "chain/transaction.hpp"
 #include "chain/types.hpp"
+#include "common/undo_window.hpp"
 
 namespace mc::chain {
 
@@ -51,8 +52,8 @@ struct AnchorRecord {
 /// on the set of (address, account) pairs, never on insertion order or
 /// history. Mutations only mark the root-to-leaf path stale; digest()
 /// rehashes the stale nodes bottom-up, one trie level per batched
-/// sha256_many call. A one-level undo journal (checkpoint / revert)
-/// replaces whole-state copies for speculative block application.
+/// sha256_many call. Per-block undo records (open_block / seal_block /
+/// rollback_to) replace whole-state copies for previews and reorgs.
 class WorldState {
  public:
   /// Read-only account lookup; absent accounts read as zero.
@@ -113,19 +114,20 @@ class WorldState {
   /// it must not run concurrently with other calls on the same state.
   [[nodiscard]] Hash256 digest() const;
 
-  // --- undo journal -----------------------------------------------------
+  // --- block undo records (DESIGN.md §16) -------------------------------
 
-  /// Start recording first-touch prior values so revert() can undo every
-  /// mutation made from here on. One level: no checkpoint may be open.
-  void checkpoint();
+  /// Open a block's undo record (a no-op while one is open). Only an
+  /// open record journals: the premine, made outside blocks, never is.
+  void open_block();
+  void seal_block(Height height) { undo_.seal(height); }
 
-  /// Undo every mutation since checkpoint() — accounts, anchors and the
-  /// anchor index — and close the checkpoint. digest() and anchored()
-  /// afterwards equal their values at checkpoint() bit for bit.
-  void revert();
-
-  /// Keep every mutation since checkpoint() and close the checkpoint.
-  void release_checkpoint();
+  /// Undo the open record, then the records sealed above `height`, newest
+  /// first: digest() and anchored() equal their values at that seal bit
+  /// for bit. `height` must be within reach (MC_ASSERT).
+  void rollback_to(Height height);
+  [[nodiscard]] bool can_rollback_to(Height height) const {
+    return undo_.reaches(height);
+  }
 
   /// Overwrite an account wholesale. The ledger-write primitive apply()
   /// is built on; outside chain/state prefer apply().
@@ -163,7 +165,7 @@ class WorldState {
     }
   };
 
-  struct Checkpoint {
+  struct BlockUndo {
     /// First-touch prior value per account; nullopt = absent before.
     std::unordered_map<Address, std::optional<Account>> prior;
     std::size_t anchors = 0;
@@ -177,6 +179,7 @@ class WorldState {
   /// Remove `a` (present) and collapse single-account subtrees.
   void erase(const Address& a);
   void journal(const Address& a);
+  void undo(const BlockUndo& record);
 
   std::uint32_t new_leaf(const Address& a);
   NodeRef new_branch();
@@ -198,7 +201,7 @@ class WorldState {
   mutable Hash256 anchor_acc_{};
   mutable std::size_t anchors_folded_ = 0;
 
-  std::optional<Checkpoint> checkpoint_;
+  UndoWindow<BlockUndo> undo_;
 };
 
 }  // namespace mc::chain

@@ -54,8 +54,8 @@ struct ChainParams {
   /// is re-fetched by chain sync if it was real.
   std::size_t max_orphans = 64;
 
-  /// Genesis allocation: balances credited before block 1. Applied on
-  /// every state replay, so reorgs preserve funding.
+  /// Genesis allocation: balances credited before block 1, outside any
+  /// block undo record; a reorg past the undo window re-credits it.
   std::vector<std::pair<Address, Amount>> premine;
 };
 

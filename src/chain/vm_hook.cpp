@@ -96,12 +96,6 @@ std::optional<exec::SpeculativeRun> VmExecutionHook::speculate(
   return exec::SpeculativeRun{std::move(*spec)};
 }
 
-void VmExecutionHook::rollback_to(Height height) {
-  store_.rollback_to(height);
-  // Deploy-id mappings for rolled-back transactions stay harmless: the
-  // contracts they name no longer exist, so lookups miss cleanly.
-}
-
 std::optional<vm::Word> VmExecutionHook::contract_id_of(
     const TxId& deploy_tx) const {
   auto it = deployed_.find(deploy_tx);

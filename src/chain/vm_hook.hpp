@@ -3,8 +3,8 @@
 //
 // This is what makes the consortium chain of Fig. 2 carry the actual
 // contract suite: every node replays every Deploy/Call deterministically
-// (duplicated computing), stores seal a block undo record at each block
-// boundary, and roll contract state back alongside the ledger.
+// (duplicated computing). The block executor seals each block's contract
+// undo record together with the ledger's, and a reorg rewinds both.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,8 @@ class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
       : store_(store), host_(host) {}
 
   Gas execute(const Transaction& tx, Height height) override;
-  void rollback_to(Height height) override;
+  /// Deploy ids of rolled-back txs stay mapped: contract_id_of misses.
+  void rollback_to(Height height) override { store_.rollback_to(height); }
 
   /// The parallel scheduler speculates Calls through this hook itself.
   [[nodiscard]] exec::ContractSpeculation* speculation() override {
@@ -68,8 +69,8 @@ class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
     store_.commit_speculation(run.call, host_);
   }
 
-  /// Seal the block's contract undo record; Node calls this via
-  /// on_block_connected.
+  /// Seal the block's contract undo record; BlockExecutor::execute_block
+  /// calls this right after sealing the ledger's.
   void on_block_connected(Height height) override {
     store_.snapshot(height);
   }

@@ -24,10 +24,10 @@ namespace mc::core {
 
 struct ConsortiumConfig {
   std::size_t members = 4;
-  chain::ChainParams params;  ///< consensus forced to Pbft
+  chain::ChainParams params{};  ///< consensus forced to Pbft
   std::string chain_tag = "medchain-consortium";
   /// Accounts funded at genesis in addition to the admin key.
-  std::vector<std::pair<chain::Address, chain::Amount>> premine;
+  std::vector<std::pair<chain::Address, chain::Amount>> premine{};
 };
 
 /// Result of committing one block of transactions.

@@ -36,7 +36,7 @@ struct CohortConfig {
   std::uint64_t seed = 7;
   std::uint16_t snp_panel_size = 8;
   double encounters_mean = 4.0;  ///< Poisson-ish encounter count
-  RiskModel stroke;
+  RiskModel stroke{};
   RiskModel cancer{/*intercept=*/-3.6,
                    /*age_per_year_over_50=*/0.055,
                    /*male=*/0.10,

@@ -87,7 +87,8 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   const analysis::AdmissionVerdict verdict = analysis::admit(report, policy_);
   if (!verdict.admitted) throw AdmissionError(verdict.reason);
 
-  if (!open_.nonce.has_value()) open_.nonce = nonce_;
+  UndoRecord& record = undo_.open();
+  if (!record.nonce.has_value()) record.nonce = nonce_;
   ByteWriter w;
   w.bytes(BytesView(code));
   w.u64(deployer);
@@ -103,7 +104,7 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   dc.deployed_height = height;
   dc.report = std::move(report);
   contracts_[id] = std::move(dc);
-  open_.created.insert(id);
+  record.created.insert(id);
   return id;
 }
 
@@ -173,16 +174,17 @@ void ContractStore::commit_speculation(const SpeculativeCall& spec,
   Storage& storage = it->second.storage;
   // A contract deployed since the record opened is erased whole on undo;
   // any other contract's cells keep their first-touch priors.
-  if (open_.created.count(spec.contract_id) == 0) {
+  UndoRecord& record = undo_.open();
+  if (record.created.count(spec.contract_id) == 0) {
     for (const auto& entry : spec.result.writes) {
       auto slot = storage.find(entry.first);
-      open_.cells.try_emplace(
+      record.cells.try_emplace(
           {spec.contract_id, entry.first},
           slot == storage.end() ? std::nullopt : std::optional(slot->second));
     }
   }
   fold_writes(storage, spec.result.writes);
-  if (!open_.event_count.has_value()) open_.event_count = events_.size();
+  if (!record.event_count.has_value()) record.event_count = events_.size();
   for (const Event& event : spec.events) {
     events_.push_back(event);
     if (event_host != nullptr) event_host->on_event(event);
@@ -209,16 +211,6 @@ std::vector<Event> ContractStore::events_since(std::size_t from_index) const {
                             events_.end());
 }
 
-void ContractStore::snapshot(std::uint64_t height) {
-  open_.height = height;
-  sealed_.push_back(std::move(open_));
-  if (sealed_.size() > kUndoDepth) {
-    floor_ = sealed_.front().height;
-    sealed_.pop_front();
-  }
-  open_ = UndoRecord{};
-}
-
 void ContractStore::undo(const UndoRecord& record) {
   for (const auto& [key, prior] : record.cells) {
     Storage& storage = contracts_.at(key.first).storage;
@@ -233,20 +225,14 @@ void ContractStore::undo(const UndoRecord& record) {
 }
 
 void ContractStore::rollback_to(std::uint64_t height) {
-  undo(open_);
-  while (!sealed_.empty() && sealed_.back().height > height) {
-    undo(sealed_.back());
-    sealed_.pop_back();
-  }
-  if (sealed_.empty() && floor_ > height) {
-    // Past the retained records: only the fresh store is reachable.
-    MC_ASSERT(height == 0, "contract rollback past the retained undo records");
-    contracts_.clear();
-    events_.clear();
-    nonce_ = 0;
-    floor_ = 0;
-  }
-  open_ = UndoRecord{};
+  if (undo_.rollback_to(height,
+                        [this](const UndoRecord& record) { undo(record); }))
+    return;
+  // Past the retained records: only the fresh store is reachable.
+  MC_ASSERT(height == 0, "contract rollback past the retained undo records");
+  contracts_.clear();
+  events_.clear();
+  nonce_ = 0;
 }
 
 Hash256 ContractStore::digest() const {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/undo_window.hpp"
 #include "vm/analysis/analysis.hpp"
 #include "vm/vm.hpp"
 
@@ -21,7 +21,7 @@ namespace mc::vm {
 
 /// Thrown by ContractStore::deploy when the static analyzer rejects the
 /// code under the store's admission policy. Derives invalid_argument so
-/// chain::Node::apply_block's existing handler marks the tx invalid.
+/// the block executor's handler marks the tx invalid.
 class AdmissionError : public std::invalid_argument {
  public:
   explicit AdmissionError(const std::string& reason)
@@ -113,21 +113,20 @@ class ContractStore {
   /// Events with index >= `from_index` (monitor-node polling cursor).
   [[nodiscard]] std::vector<Event> events_since(std::size_t from_index) const;
 
-  /// Sealed undo records kept: every caller rolls back at most the block
-  /// it just applied, or resets with rollback_to(0).
-  static constexpr std::size_t kUndoDepth = 8;
+  /// Sealed block undo records kept: mc::kUndoRecords (DESIGN.md §16).
+  static constexpr std::size_t kUndoDepth = mc::kUndoRecords;
 
   /// Seal the changes since the previous seal into an undo record labeled
   /// `height`, dropping the oldest record past kUndoDepth.
-  void snapshot(std::uint64_t height);
+  void snapshot(std::uint64_t height) { undo_.seal(height); }
 
   /// Restore the state as of the most recent seal labeled <= `height`,
-  /// undoing the records after it newest first; with none, resets to
-  /// empty (height 0 == fresh store). A non-zero height older than the
+  /// undoing the records after it newest first; past the window, height
+  /// 0 resets to the fresh store. A non-zero height older than the
   /// retained records is a caller bug (MC_ASSERT).
   void rollback_to(std::uint64_t height);
 
-  [[nodiscard]] std::size_t retained_blocks() const { return sealed_.size(); }
+  [[nodiscard]] std::size_t retained_blocks() const { return undo_.retained(); }
 
   /// Canonical digest over all contracts and storage (cross-node
   /// determinism checks).
@@ -140,7 +139,6 @@ class ContractStore {
   /// cells written (nullopt = absent), the event count and the nonce, and
   /// the ids deployed.
   struct UndoRecord {
-    std::uint64_t height = 0;  ///< label, set when sealed
     std::map<std::pair<Word, Word>, std::optional<Word>> cells;
     std::optional<std::size_t> event_count;
     std::optional<std::uint64_t> nonce;
@@ -156,9 +154,7 @@ class ContractStore {
   std::map<Word, DeployedContract> contracts_;  // ordered => stable digest
   std::vector<Event> events_;
   std::uint64_t nonce_ = 0;
-  UndoRecord open_;
-  std::deque<UndoRecord> sealed_;
-  std::uint64_t floor_ = 0;  ///< label of the newest dropped record
+  UndoWindow<UndoRecord> undo_;
   analysis::AdmissionPolicy policy_ = analysis::AdmissionPolicy::strict();
 };
 

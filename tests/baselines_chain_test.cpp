@@ -130,8 +130,11 @@ TEST(Sharding, ValidationCountsShowParallelism) {
   const std::uint64_t unsharded_validations = 10 * ledger.total_nodes();
   EXPECT_LT(stats.validations, unsharded_validations);
   // Cross-shard 2PC pays lock messages; intra pays none.
-  if (stats.cross_shard_txs == 0) EXPECT_EQ(stats.lock_messages, 0u);
-  if (stats.cross_shard_txs > 0) EXPECT_GT(stats.lock_messages, 0u);
+  if (stats.cross_shard_txs == 0) {
+    EXPECT_EQ(stats.lock_messages, 0u);
+  } else {
+    EXPECT_GT(stats.lock_messages, 0u);
+  }
 }
 
 TEST(Sharding, InsufficientFundsAborts) {

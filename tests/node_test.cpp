@@ -54,6 +54,21 @@ TEST(Node, ProposeIncludesMempoolAndCommits) {
   EXPECT_TRUE(node.mempool().empty());
 }
 
+TEST(Node, SubmitChargesExactlyOneSignatureCheck) {
+  Harness h;
+  Node node = h.make_node("n0");
+  Transaction forged =
+      make_transfer(h.alice, crypto::address_of(h.bob.pub), 500, 0);
+  forged.amount = 501;  // the signature covers the old amount
+  EXPECT_FALSE(node.submit(forged));
+  EXPECT_EQ(node.counters().sig_verifications, 1u);
+  EXPECT_TRUE(node.mempool().empty());
+
+  EXPECT_TRUE(node.submit(
+      make_transfer(h.alice, crypto::address_of(h.bob.pub), 500, 0)));
+  EXPECT_EQ(node.counters().sig_verifications, 2u);
+}
+
 TEST(Node, RejectsCorruptBlocks) {
   Harness h;
   Node node = h.make_node("n0");

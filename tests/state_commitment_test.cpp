@@ -1,9 +1,9 @@
 // State commitment tests (DESIGN.md §16): the incremental account trie and
 // anchor chain behind WorldState::digest() must equal the from-scratch
 // reference (audit::reference_state_digest) after every mutation, on
-// every hash backend; the undo journal must restore the commitment bit
-// for bit; nodes must keep tip and root on a rejected block and converge
-// through a deep reorg.
+// every hash backend; the per-block undo records must restore the
+// commitment bit for bit; nodes must keep tip and root on a rejected block
+// and converge through a deep reorg.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,7 +104,8 @@ void run_random_ops(std::uint64_t seed) {
 
   WorldState state;
   Model model;
-  std::optional<Model> saved;  // model at the open checkpoint
+  std::optional<Model> saved;  // model when the open block record opened
+  Height height = 0;           // label of the newest seal
   expect_matches(state, model, "empty");
 
   for (int step = 0; step < 250; ++step) {
@@ -148,14 +149,14 @@ void run_random_ops(std::uint64_t seed) {
       model.anchors.push_back(r);
     } else if (op == 5) {
       if (!saved.has_value()) {
-        state.checkpoint();
+        state.open_block();
         saved = model;
       } else if (rng.bernoulli(0.6)) {
-        state.revert();
+        state.rollback_to(height);  // undoes just the open record
         model = *saved;
         saved.reset();
       } else {
-        state.release_checkpoint();
+        state.seal_block(++height);
         saved.reset();
       }
     } else if (op == 6) {
@@ -167,8 +168,8 @@ void run_random_ops(std::uint64_t seed) {
       copy_model.accounts[a].balance += 7;
       expect_matches(copy, copy_model, where + " (copy)");
       if (saved.has_value()) {
-        copy.revert();  // the copy carries the open journal with it
-        expect_matches(copy, *saved, where + " (copy reverted)");
+        copy.rollback_to(height);  // the copy carries the open record
+        expect_matches(copy, *saved, where + " (copy rolled back)");
       }
     } else {
       (void)state.digest();  // settle the cache mid-sequence
@@ -232,17 +233,17 @@ TEST(StateCommitment, RootIndependentOfInsertionOrderAndHistory) {
   }
   EXPECT_EQ(forward.digest(), backward.digest());
 
-  // Accounts created and then reverted away leave no trace either.
-  backward.checkpoint();
+  // Accounts created and then rolled back away leave no trace either.
+  backward.open_block();
   const std::vector<Address> extra = address_pool(rng, 30);
   for (const Address& a : extra) backward.credit(a, 0);
   EXPECT_NE(forward.digest(), backward.digest());  // present != absent
-  backward.revert();
+  backward.rollback_to(0);
   EXPECT_EQ(forward.digest(), backward.digest());
   EXPECT_EQ(backward.account_count(), pool.size());
 }
 
-TEST(StateCommitment, RevertRestoresDigestAndAnchorsBitForBit) {
+TEST(StateCommitment, RollbackRestoresDigestAndAnchorsBitForBit) {
   Rng rng(0x4e7e);
   const std::vector<Address> pool = address_pool(rng, 64);
   WorldState state;
@@ -251,10 +252,10 @@ TEST(StateCommitment, RevertRestoresDigestAndAnchorsBitForBit) {
   state.record_anchor(pool[0], kept, 1);
 
   for (const bool digest_inside : {false, true}) {
-    SCOPED_TRACE(digest_inside ? "digest inside checkpoint" : "no digest");
+    SCOPED_TRACE(digest_inside ? "digest inside the record" : "no digest");
     const Hash256 before = state.digest();
     const std::size_t accounts = state.account_count();
-    state.checkpoint();
+    state.open_block();
     for (std::size_t i = 16; i < 64; ++i) state.credit(pool[i], 5);
     state.set_account(pool[1], Account{0, 9});
     const Hash256 fresh = random_hash(rng);
@@ -264,7 +265,7 @@ TEST(StateCommitment, RevertRestoresDigestAndAnchorsBitForBit) {
       EXPECT_NE(state.digest(), before);
     }
     EXPECT_TRUE(state.anchored(pool[2], fresh));
-    state.revert();
+    state.rollback_to(0);
 
     EXPECT_EQ(state.digest(), before);
     EXPECT_EQ(state.digest(), audit::reference_state_digest(state));
@@ -274,6 +275,73 @@ TEST(StateCommitment, RevertRestoresDigestAndAnchorsBitForBit) {
     EXPECT_FALSE(state.anchored(pool[2], fresh));
     EXPECT_EQ(state.account(pool[1]).balance, 1'001u);
     EXPECT_EQ(state.account(pool[40]), Account{});
+  }
+}
+
+TEST(StateCommitment, RandomBlockHistoriesRollBackToSealedStates) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::vector<Address> pool = address_pool(rng, 48);
+    const auto pick = [&] { return pool[rng.uniform(pool.size())]; };
+
+    // The premine: made with no record open, so never journaled.
+    WorldState state;
+    Model model;
+    for (std::size_t i = 0; i < 8; ++i) {
+      state.credit(pool[i], 1'000);
+      model.accounts[pool[i]].balance += 1'000;
+    }
+    // Reachable seals, oldest first: the window's floor and its records.
+    std::vector<std::pair<Height, Model>> seals{{0, model}};
+    Height height = 0;
+
+    for (int step = 0; step < 300; ++step) {
+      const std::string where = "step " + std::to_string(step);
+      if (seals.size() == 1 || rng.uniform(4) != 0) {
+        state.open_block();
+        for (std::uint64_t n = 1 + rng.uniform(6); n > 0; --n) {
+          const Address a = pick();
+          if (rng.uniform(3) == 0) {
+            const Account acct{rng.uniform(1'000'000), rng.uniform(50)};
+            state.set_account(a, acct);
+            model.accounts[a] = acct;
+          } else if (rng.uniform(4) == 0) {
+            const AnchorRecord r{a, random_hash(rng), height + 1};
+            state.record_anchor(r.owner, r.digest, r.height);
+            model.anchors.push_back(r);
+          } else {
+            const Amount amount = rng.uniform(3) == 0 ? 0 : rng.uniform(100);
+            state.credit(a, amount);
+            model.accounts[a].balance += amount;
+          }
+          if (rng.uniform(5) == 0) (void)state.digest();
+        }
+        if (rng.uniform(6) == 0) {
+          state.rollback_to(height);  // a rejected block: drop the record
+          model = seals.back().second;
+        } else {
+          state.seal_block(++height);
+          seals.emplace_back(height, model);
+          if (seals.size() > kUndoRecords + 1) {
+            seals.erase(seals.begin());
+            EXPECT_FALSE(state.can_rollback_to(seals.front().first - 1));
+          }
+        }
+      } else {
+        const std::size_t back = rng.uniform(seals.size());
+        const Height label = seals[seals.size() - 1 - back].first;
+        ASSERT_TRUE(state.can_rollback_to(label)) << where;
+        state.rollback_to(label);
+        seals.resize(seals.size() - back);
+        model = seals.back().second;
+        height = label;
+      }
+      EXPECT_TRUE(state.can_rollback_to(seals.front().first)) << where;
+      expect_matches(state, model, where);
+      for (const AnchorRecord& r : model.anchors)
+        ASSERT_TRUE(state.anchored(r.owner, r.digest)) << where;
+    }
   }
 }
 
@@ -316,7 +384,7 @@ TEST(StateCommitment, BadStateRootLeavesTipAndRootUnchanged) {
   EXPECT_EQ(node.state().digest(), root);
   EXPECT_EQ(node.state().balance(bob), bob_balance);
 
-  // The journal closed cleanly: the honest block still connects.
+  // The block's records closed cleanly: the honest block still connects.
   EXPECT_EQ(node.receive(good), BlockVerdict::Accepted);
   EXPECT_EQ(node.state().balance(bob), bob_balance + 700);
 }

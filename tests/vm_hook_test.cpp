@@ -1,10 +1,14 @@
 // On-chain contract execution tests: Deploy/Call transactions executed
 // through the node's ExecutionHook, cross-node determinism, reorg
-// rollback of contract state.
+// rollback of contract state through the per-block undo records.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "chain/node.hpp"
 #include "chain/vm_hook.hpp"
+#include "chain/wallet.hpp"
+#include "common/rng.hpp"
 #include "contracts/abi.hpp"
 #include "contracts/policy.hpp"
 #include "vm/assembler.hpp"
@@ -222,6 +226,205 @@ TEST(VmHook, ReorgRollsContractStateBack) {
   // The deploy and the increment were reorged out: contract is gone.
   EXPECT_FALSE(chain.store.exists(contract_id));
   EXPECT_FALSE(chain.hook.contract_id_of(deploy.id()).has_value());
+}
+
+// --- reorgs of every depth through the undo records ------------------------
+
+/// A consortium member: a node over its own contract store.
+struct Member {
+  vm::ContractStore store;
+  VmExecutionHook hook{store};
+  Node node;
+
+  Member(const std::string& who, const ChainParams& params,
+         const Block& genesis)
+      : node(crypto::key_from_seed(who), params, genesis, &hook) {}
+};
+
+/// One branch's signers and the contracts deployed on it so far.
+struct BranchTxs {
+  std::vector<Wallet> users;
+  std::vector<vm::Word> contracts;
+};
+
+/// Grow `producer`'s chain by `n` blocks of 1-4 seeded transfers,
+/// anchors, deploys and counter calls; `first` joins the first block.
+void grow(Member& producer, BranchTxs& branch, Rng& rng, std::size_t n,
+          std::vector<Block>& out,
+          const std::optional<Transaction>& first = std::nullopt) {
+  for (std::size_t b = 0; b < n; ++b) {
+    std::size_t submitted = 0;
+    if (b == 0 && first.has_value()) {
+      ASSERT_TRUE(producer.node.submit(*first));
+      ++submitted;
+    }
+    std::vector<Transaction> deploys;
+    for (std::size_t t = 1 + rng.uniform(4); t > 0; --t) {
+      Wallet& w = branch.users[rng.uniform(branch.users.size())];
+      Transaction tx;
+      switch (rng.uniform(4)) {
+        case 0: {
+          Address to;
+          for (auto& byte : to.data)
+            byte = static_cast<std::uint8_t>(rng.next());
+          tx = w.transfer(to, 1 + rng.uniform(1'000));
+          break;
+        }
+        case 1: {
+          Hash256 digest;
+          for (auto& byte : digest.data)
+            byte = static_cast<std::uint8_t>(rng.next());
+          tx = w.anchor(digest);
+          break;
+        }
+        case 2:
+          if (!branch.contracts.empty()) {
+            tx = w.call(branch.contracts[rng.uniform(branch.contracts.size())],
+                        {1, 1 + rng.uniform(9)});
+            break;
+          }
+          [[fallthrough]];
+        default:
+          tx = w.deploy(vm::assemble(kCounterSource));
+          deploys.push_back(tx);
+      }
+      ASSERT_TRUE(producer.node.submit(tx));
+      ++submitted;
+    }
+    const Block block =
+        producer.node.propose(1'000 * (producer.node.height() + 1));
+    ASSERT_EQ(block.txs.size(), submitted);
+    ASSERT_EQ(producer.node.receive(block), BlockVerdict::Accepted);
+    for (const Transaction& d : deploys)
+      branch.contracts.push_back(*producer.hook.contract_id_of(d.id()));
+    out.push_back(block);
+  }
+}
+
+std::size_t tx_count(const std::vector<Block>& blocks) {
+  std::size_t n = 0;
+  for (const Block& b : blocks) n += b.txs.size();
+  return n;
+}
+
+/// Everything a reorg may change, compared bit for bit.
+struct Observed {
+  BlockId tip{};
+  Hash256 ledger{};
+  Hash256 contracts{};
+  std::map<TxId, std::optional<TxReceipt>> receipts;
+
+  Observed(const Member& m, const std::vector<std::vector<Block>*>& chains)
+      : tip(m.node.tip()),
+        ledger(m.node.state().digest()),
+        contracts(m.store.digest()) {
+    for (const auto* chain : chains)
+      for (const Block& b : *chain)
+        for (const Transaction& tx : b.txs)
+          receipts[tx.id()] = m.node.receipt(tx.id());
+  }
+
+  friend bool operator==(const Observed& a, const Observed& b) {
+    if (a.tip != b.tip || a.ledger != b.ledger || a.contracts != b.contracts)
+      return false;
+    for (const auto& [id, r] : a.receipts) {
+      const std::optional<TxReceipt>& o = b.receipts.at(id);
+      if (r.has_value() != o.has_value()) return false;
+      if (r.has_value() && (r->height != o->height || r->index != o->index ||
+                            r->gas_used != o->gas_used))
+        return false;
+    }
+    return a.receipts.size() == b.receipts.size();
+  }
+};
+
+TEST(VmHook, ReorgOfEveryDepthMatchesAFreshNodeOnTheWinningBranch) {
+  constexpr std::size_t kPrefix = 3;
+  for (const std::size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 20}) {
+    SCOPED_TRACE("depth " + std::to_string(k));
+    Rng rng(0x5e0 + k);
+    ChainParams params;
+    params.consensus = ConsensusKind::Pbft;
+    BranchTxs prefix;
+    for (const char* who : {"ann", "ben", "cat"}) {
+      prefix.users.push_back(Wallet::from_seed(who));
+      params.premine.emplace_back(prefix.users.back().address(),
+                                  1'000'000'000'000);
+    }
+    const Block genesis = make_genesis("reorg-depths", ~0ULL);
+    Member main_producer("main", params, genesis);
+    Member fork_producer("fork", params, genesis);
+    Member reorged("reorged", params, genesis);
+    Member fresh("fresh", params, genesis);
+
+    // A common prefix, then two branches from it that share one tx: the
+    // main branch of k blocks and a winning fork of k + 1.
+    std::vector<Block> common, main_branch, fork_branch;
+    grow(main_producer, prefix, rng, kPrefix, common);
+    for (const Block& b : common)
+      ASSERT_EQ(fork_producer.node.receive(b), BlockVerdict::Accepted);
+    const Transaction shared =
+        prefix.users[0].transfer(prefix.users[1].address(), 77);
+    BranchTxs main_txs = prefix;
+    BranchTxs fork_txs = prefix;
+    grow(main_producer, main_txs, rng, k, main_branch, shared);
+    grow(fork_producer, fork_txs, rng, k + 1, fork_branch, shared);
+    ASSERT_FALSE(HasFatalFailure());
+
+    for (const auto* chain : {&common, &main_branch})
+      for (const Block& b : *chain)
+        ASSERT_EQ(reorged.node.receive(b), BlockVerdict::Accepted);
+    for (const auto* chain : {&common, &fork_branch})
+      for (const Block& b : *chain)
+        ASSERT_EQ(fresh.node.receive(b), BlockVerdict::Accepted);
+    const std::vector<std::vector<Block>*> all = {&common, &main_branch,
+                                                  &fork_branch};
+
+    // A block preview seals and rewinds one block; it must not shorten
+    // the undo window's reach.
+    const Observed before(reorged, all);
+    (void)reorged.node.propose(1'000 * (reorged.node.height() + 1));
+    EXPECT_TRUE(Observed(reorged, all) == before);
+
+    // The fork with a lying state_root at block j, at a seeded position
+    // and at the last: nothing changes.
+    for (const std::size_t j : {(5 * k) % (k + 1), k}) {
+      std::vector<Block> lying = fork_branch;
+      lying[j].header.state_root.data[0] ^= 0x01;
+      for (std::size_t i = j + 1; i < lying.size(); ++i)
+        lying[i].header.parent = lying[i - 1].id();
+      for (std::size_t i = 0; i < k; ++i) {
+        const BlockVerdict v = reorged.node.receive(lying[i]);
+        ASSERT_TRUE(v == BlockVerdict::AcceptedSide ||
+                    v == BlockVerdict::Duplicate);
+      }
+      EXPECT_EQ(reorged.node.receive(lying[k]), BlockVerdict::Invalid);
+      EXPECT_TRUE(Observed(reorged, all) == before) << "bad block " << j;
+    }
+
+    // The honest fork wins. Within the undo window only its blocks
+    // execute; past it, the whole winning chain replays from genesis.
+    (void)reorged.node.propose(1'000 * (reorged.node.height() + 1));
+    const std::uint64_t executed = reorged.node.counters().txs_executed;
+    for (std::size_t i = 0; i < k; ++i) {
+      const BlockVerdict v = reorged.node.receive(fork_branch[i]);
+      ASSERT_TRUE(v == BlockVerdict::AcceptedSide ||
+                  v == BlockVerdict::Duplicate);
+    }
+    ASSERT_EQ(reorged.node.receive(fork_branch[k]), BlockVerdict::Accepted);
+    const std::size_t expected =
+        tx_count(fork_branch) + (k <= kUndoDepth ? 0 : tx_count(common));
+    EXPECT_EQ(reorged.node.counters().txs_executed - executed, expected);
+    EXPECT_TRUE(Observed(reorged, all) == Observed(fresh, all));
+    EXPECT_EQ(reorged.node.best_chain(), fresh.node.best_chain());
+
+    // Both stores' windows still agree: the next block connects.
+    std::vector<Block> next;
+    grow(fork_producer, fork_txs, rng, 1, next);
+    ASSERT_EQ(reorged.node.receive(next[0]), BlockVerdict::Accepted);
+    ASSERT_EQ(fresh.node.receive(next[0]), BlockVerdict::Accepted);
+    EXPECT_TRUE(Observed(reorged, all) == Observed(fresh, all));
+  }
 }
 
 }  // namespace

@@ -42,8 +42,8 @@
 //                            the choke point.
 //   state-copy               copying a WorldState by value is banned
 //                            outside chain/state and audit/ — nodes
-//                            apply blocks in place under the state's
-//                            undo journal, so an O(state) copy per
+//                            apply blocks in place under per-block
+//                            undo records, so an O(state) copy per
 //                            block must not creep back (DESIGN.md §16).
 //   storage-copy             copying a vm::Storage by value is banned —
 //                            contract runs read committed storage and
@@ -109,7 +109,7 @@ constexpr Rule kRules[] = {
      "Deploy transactions only - raw <store>.deploy() outside vm/ and "
      "tests skips the admission gate and its footprint summaries"},
     {"state-copy",
-     "checkpoint()/revert() only - a by-value WorldState copy outside "
+     "block undo records (rollback_to) only - a by-value WorldState copy outside "
      "chain/state and audit/ costs O(state) per use"},
     {"storage-copy",
      "write-sets and fold_writes() only - a by-value vm::Storage copy "
