@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "chain/pow.hpp"
 #include "chain/state.hpp"
+#include "chain/vm_hook.hpp"
 #include "crypto/sha256.hpp"
 
 namespace mc::audit {
@@ -257,7 +258,7 @@ AuditReport ChainAuditor::audit_parallel_execution(
   };
   const auto run = [&](bool parallel) {
     Replay r;
-    std::unique_ptr<chain::ExecutionHook> hook =
+    std::unique_ptr<chain::VmExecutionHook> hook =
         make_hook ? make_hook() : nullptr;
     chain::exec::BlockExecutor executor(params_, hook.get());
     if (parallel) {

@@ -28,7 +28,7 @@ class ThreadPool;
 
 namespace mc::chain {
 class BlockValidator;
-class ExecutionHook;
+class VmExecutionHook;
 class Node;
 }
 
@@ -84,7 +84,7 @@ class ChainAuditor {
   /// Contract-state digest at a given height, folded into the expected
   /// state root exactly as Node::state_commitment does. Defaults to the
   /// zero digest (hook-less chains). Chains executing contracts supply
-  /// the digest their ExecutionHook would report.
+  /// the digest their VmExecutionHook would report.
   using ContractDigestFn = std::function<Hash256(chain::Height)>;
 
   explicit ChainAuditor(chain::ChainParams params,
@@ -116,7 +116,8 @@ class ChainAuditor {
   /// Hook factory for the parallel-execution audit: each replay builds
   /// its own contract stack from scratch (nullptr factory or a factory
   /// returning nullptr audits a pure-ledger chain).
-  using HookFactory = std::function<std::unique_ptr<chain::ExecutionHook>()>;
+  using HookFactory =
+      std::function<std::unique_ptr<chain::VmExecutionHook>()>;
 
   /// Replay `blocks` (genesis first) twice — once sequentially, once
   /// through the wave-parallel scheduler fanned across `pool` with

@@ -5,7 +5,6 @@
 
 #include "audit/check.hpp"
 #include "chain/execution/dag.hpp"
-#include "chain/execution/speculation.hpp"
 #include "common/thread_pool.hpp"
 
 namespace mc::chain::exec {
@@ -13,12 +12,11 @@ namespace mc::chain::exec {
 /// Per-transaction outcome of one wave: only contract calls do wave work.
 struct BlockExecutor::TxSlot {
   bool executed = false;
-  /// Deploy (store-nonce serialization) or non-speculable Call: run at
-  /// the commit slot through the hook instead.
-  bool needs_commit_exec = false;
-  /// A Call's speculative run; empty for ledger-only txs, whose whole
-  /// effect is applied at the commit slot.
-  std::optional<SpeculativeRun> run;
+  /// A Deploy (store-nonce serialization) or a Call whose wave run
+  /// resolved no target: its contract side runs at the commit slot.
+  bool at_commit_slot = false;
+  /// A Call's wave run; empty for every other tx.
+  std::optional<CallRun> run;
 };
 
 BlockExecResult BlockExecutor::execute_block(WorldState& state,
@@ -36,7 +34,6 @@ BlockExecResult BlockExecutor::execute_block(WorldState& state,
   const bool parallel =
       config_.workers > 1 && config_.pool != nullptr &&
       block.txs.size() > 1 && hook_ != nullptr &&
-      hook_->speculation() != nullptr &&
       std::any_of(block.txs.begin(), block.txs.end(), is_call);
   out.ok = parallel
                ? run_parallel(state, block, receipts, sigs_prechecked, out)
@@ -67,8 +64,7 @@ bool BlockExecutor::run_sequential(WorldState& state, const Block& block,
 }
 
 bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
-                                        std::size_t i,
-                                        const SpeculativeRun* validated,
+                                        std::size_t i, const CallRun* wave,
                                         bool record_footprint,
                                         std::vector<TxReceipt>* receipts,
                                         bool sigs_prechecked,
@@ -76,35 +72,33 @@ bool BlockExecutor::commit_slot_execute(WorldState& state, const Block& block,
   const Transaction& tx = block.txs[i];
   const Height height = block.header.height;
   Gas exec_gas = 0;
-  if (hook_ != nullptr &&
-      (tx.kind == TxKind::Call || tx.kind == TxKind::Deploy)) {
-    ContractSpeculation* spec = hook_->speculation();
-    // Commit-point speculation IS sequential execution: all earlier txs
-    // have committed, so the run is exact and committing it mirrors a
-    // direct store call — and yields the dynamic footprint for free.
-    std::optional<SpeculativeRun> fresh;
-    if (validated == nullptr && tx.kind == TxKind::Call && spec != nullptr) {
-      fresh = spec->speculate(tx, height);
-      if (fresh.has_value()) validated = &*fresh;
+  if (hook_ != nullptr && tx.kind == TxKind::Deploy) {
+    const std::optional<Gas> gas = hook_->deploy(tx, height, out.error);
+    if (!gas.has_value()) return false;
+    exec_gas = *gas;
+  } else if (hook_ != nullptr && tx.kind == TxKind::Call) {
+    if (wave != nullptr && wave->call.has_value() &&
+        !hook_->still_current(*wave->call)) {
+      ++metrics_.aborts;
+      ++metrics_.reruns;
+      ++metrics_.critical_ticks;
+      wave = nullptr;
     }
-    if (validated != nullptr) {
-      if (!validated->ok()) {
-        out.error = validated->error();
-        return false;
-      }
-      exec_gas = validated->gas();
-      spec->commit(*validated);
-      if (record_footprint)
-        provider_.record(tx, validated->call.contract_id,
-                         validated->call.trace);
-    } else {
-      try {
-        exec_gas = hook_->execute(tx, height);
-      } catch (const std::exception& e) {
-        out.error = e.what();
-        return false;
-      }
+    // A run at the commit slot IS sequential execution: all earlier txs
+    // have committed, so it is current by construction.
+    CallRun now;
+    if (wave == nullptr || !wave->call.has_value()) {
+      now = hook_->call_speculative(tx, height);
+      wave = &now;
     }
+    if (!wave->ok()) {
+      out.error = wave->error();
+      return false;
+    }
+    const vm::SpeculativeCall& run = *wave->call;
+    exec_gas = run.result.gas_used;
+    hook_->commit(run);
+    if (record_footprint) provider_.record(tx, run.contract_id, run.trace);
   }
   const ApplyResult applied =
       state.apply(tx, block.header.proposer, params_, exec_gas,
@@ -131,8 +125,7 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
                                  bool sigs_prechecked, BlockExecResult& out) {
   const std::size_t n = block.txs.size();
   const Height height = block.header.height;
-  const ContractSpeculation* spec = hook_->speculation();
-  provider_.set_store(spec->store());
+  const VmExecutionHook& hook = *hook_;
 
   // Warm the tx id memoization single-threaded: receipts, footprint
   // recording and signature checks all consult it, and first-call caching
@@ -171,27 +164,27 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
     // own slot. The pool join below is the barrier that lets the commit
     // phase mutate them again.
     config_.pool->parallel_for(
-        wave.size(), [&slots, &wave, &block, spec, height](std::size_t k) {
+        wave.size(), [&slots, &wave, &block, &hook, height](std::size_t k) {
           TxSlot& s = slots[wave[k]];
           const Transaction& tx = block.txs[wave[k]];
-          if (tx.kind == TxKind::Deploy) {
-            s.needs_commit_exec = true;
-          } else if (tx.kind == TxKind::Call) {
-            s.run = spec->speculate(tx, height);
-            s.needs_commit_exec = !s.run.has_value();
+          if (tx.kind == TxKind::Call) {
+            s.run = hook.call_speculative(tx, height);
+            s.at_commit_slot = !s.run->call.has_value();
+          } else {
+            s.at_commit_slot = tx.kind == TxKind::Deploy;
           }
         });
 
-    // Every slot that did not punt to the commit slot costs wave time,
-    // ledger-only txs included (the schedule prices a uniform per-tx
-    // cost); a needs_commit_exec tx is charged one tick at its commit
-    // slot instead (so an all-deploy wave prices like the sequential
-    // path it effectively is).
-    std::size_t speculated = 0;
+    // Every slot not left to its commit slot costs wave time, ledger-only
+    // txs included (the schedule prices a uniform per-tx cost); an
+    // at_commit_slot tx is charged one tick at its commit slot instead (so
+    // an all-deploy wave prices like the sequential path it effectively
+    // is).
+    std::size_t in_wave = 0;
     for (const std::uint32_t j : wave)
-      if (!slots[j].needs_commit_exec) ++speculated;
+      if (!slots[j].at_commit_slot) ++in_wave;
     metrics_.critical_ticks +=
-        (speculated + config_.workers - 1) / config_.workers;
+        (in_wave + config_.workers - 1) / config_.workers;
 
     // Commit phase (single-threaded): advance the cursor through every
     // consecutively-executed slot in strict block order. A run whose
@@ -200,20 +193,19 @@ bool BlockExecutor::run_parallel(WorldState& state, const Block& block,
     while (cursor < n && slots[cursor].executed) {
       const TxSlot& s = slots[cursor];
       ++out.txs_seen;
-      const bool stale = s.run.has_value() && !spec->still_current(*s.run);
-      if (s.needs_commit_exec) ++metrics_.sequential_txs;
-      if (stale) {
-        ++metrics_.aborts;
-        ++metrics_.reruns;
+      if (s.at_commit_slot) {
+        ++metrics_.sequential_txs;
+        ++metrics_.critical_ticks;
       }
-      if (s.needs_commit_exec || stale) ++metrics_.critical_ticks;
-      const SpeculativeRun* validated =
-          s.run.has_value() && !stale ? &*s.run : nullptr;
-      if (!commit_slot_execute(state, block, cursor, validated,
+      const std::uint64_t reruns = metrics_.reruns;
+      if (!commit_slot_execute(state, block, cursor,
+                               s.run.has_value() ? &*s.run : nullptr,
                                fps[cursor].unbounded, receipts,
                                sigs_prechecked, out))
         return false;
-      if (!s.needs_commit_exec && !stale) ++metrics_.parallel_txs;
+      // A stale wave run was re-run at the slot: no parallel commit.
+      if (!s.at_commit_slot && metrics_.reruns == reruns)
+        ++metrics_.parallel_txs;
       ++cursor;
     }
   }

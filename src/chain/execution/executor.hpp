@@ -1,13 +1,15 @@
 // BlockExecutor: the block execution pipeline (DESIGN.md §13).
 //
 // Layered: footprint provider → dependency DAG → wave scheduler. A block takes
-// the wave path only when workers > 1, a pool is set, the hook offers
-// speculation and the block holds more than one tx, at least one of them a
-// contract Call; every other block runs the exact sequential path. On the wave
-// path workers speculate contract Calls (SpeculativeCall) against the frozen
-// store; nothing else does wave work and no worker touches the ledger. Commit
-// then runs single-threaded in strict block order: each tx's validated run (or
-// a re-run when its observations went stale) is committed and its ledger side
+// the wave path only when workers > 1, a pool is set, a hook is attached and
+// the block holds more than one tx, at least one of them a contract Call;
+// every other block runs the exact sequential path. Every Call takes one
+// route: the hook's buffered run (VmExecutionHook::call_speculative), in a
+// wave or at its commit slot, then the still_current check, then the commit.
+// On the wave path workers run contract Calls against the frozen store;
+// nothing else does wave work and no worker touches the ledger. Commit then
+// runs single-threaded in strict block order: each tx's current run (or a
+// re-run when its observations went stale) is committed and its ledger side
 // applied through WorldState::apply at its commit slot, the same step the
 // sequential path takes. Final state, receipts, events and the accept/reject
 // verdict are bit-identical to sequential execution —
@@ -23,14 +25,13 @@
 #include "chain/node.hpp"
 #include "chain/state.hpp"
 #include "chain/types.hpp"
+#include "chain/vm_hook.hpp"
 
 namespace mc {
 class ThreadPool;
 }
 
 namespace mc::chain::exec {
-
-struct SpeculativeRun;
 
 struct ExecutionConfig {
   /// Worker cap for the wave phase; <= 1 selects the sequential path.
@@ -52,9 +53,10 @@ struct BlockExecMetrics {
   std::size_t max_wave_width = 0;
   /// Critical-path length of the schedule in tx-execution ticks: each
   /// wave costs ceil(width / workers) ticks, each commit-slot execution
-  /// (non-speculable tx or abort re-run) costs one. With uniform tx cost
-  /// this is the wall-clock lower bound the DAG admits at the configured
-  /// worker count, independent of how many cores the host really has.
+  /// (deploy, unresolved call or abort re-run) costs one. With uniform tx
+  /// cost this is the wall-clock lower bound the DAG admits at the
+  /// configured worker count, independent of how many cores the host
+  /// really has.
   std::uint64_t critical_ticks = 0;
 
   /// Mean wave width — the realized parallelism of the wave phase.
@@ -85,8 +87,11 @@ struct BlockExecResult {
 
 class BlockExecutor {
  public:
-  BlockExecutor(ChainParams params, ExecutionHook* hook)
-      : params_(std::move(params)), hook_(hook) {
+  /// `hook` may be null: contract txs then execute as no-ops.
+  BlockExecutor(ChainParams params, VmExecutionHook* hook)
+      : params_(std::move(params)),
+        hook_(hook),
+        provider_(hook != nullptr ? &hook->store() : nullptr) {
     // Blocks never read the genesis allocation; its owner replays it.
     // Dropping this copy keeps one premine per node, not two.
     std::vector<std::pair<Address, Amount>>().swap(params_.premine);
@@ -119,18 +124,21 @@ class BlockExecutor {
                     BlockExecResult& out);
 
   /// Execute tx `i` at its commit slot against fully-committed state:
-  /// the contract side first (commit `validated`, a run already checked
-  /// current, else speculate or execute through the hook now), then the
-  /// ledger side via WorldState::apply, the receipt and the anchor. The
-  /// one step both paths share.
+  /// the contract side first, then the ledger side via WorldState::apply,
+  /// the receipt and the anchor. The one step both paths share. A Call's
+  /// contract side is its one route: `wave` (its run from a wave, null on
+  /// the sequential path) is kept if it resolved its target and every
+  /// cell it observed still holds, else the hook runs the call now (a
+  /// stale wave run counts as an abort and a re-run); the run then
+  /// commits, or its error rejects the block.
   bool commit_slot_execute(WorldState& state, const Block& block,
-                           std::size_t i, const SpeculativeRun* validated,
+                           std::size_t i, const CallRun* wave,
                            bool record_footprint,
                            std::vector<TxReceipt>* receipts,
                            bool sigs_prechecked, BlockExecResult& out);
 
   ChainParams params_;
-  ExecutionHook* hook_;
+  VmExecutionHook* hook_;
   ExecutionConfig config_;
   FootprintProvider provider_;
   BlockExecMetrics metrics_;

@@ -55,7 +55,6 @@ class FootprintProvider {
                              std::size_t max_recorded = kMaxRecorded)
       : store_(store), max_recorded_(max_recorded) {}
 
-  void set_store(const vm::ContractStore* store) { store_ = store; }
   [[nodiscard]] const vm::ContractStore* store() const { return store_; }
 
   /// Scheduling footprint for `tx`: the static footprint when bounded,

@@ -7,12 +7,13 @@
 #include "chain/block_validator.hpp"
 #include "chain/execution/executor.hpp"
 #include "chain/pow.hpp"
+#include "chain/vm_hook.hpp"
 #include "common/undo_window.hpp"
 
 namespace mc::chain {
 
 Node::Node(crypto::PrivateKey key, ChainParams params, Block genesis,
-           ExecutionHook* hook)
+           VmExecutionHook* hook)
     : key_(key),
       address_(crypto::address_of(key.pub)),
       params_(params),
@@ -153,6 +154,16 @@ bool Node::switch_tip(const BlockId& id, Height height) {
     for (const Transaction& tx : prev->txs) committed_txs_.erase(tx.id());
   for (const TxReceipt& r : receipts) committed_txs_[r.id] = r;
   for (const Block* b : branch) mempool_.remove(b->txs);
+  // Old-branch txs the new branch lacks return to the mempool, which
+  // re-verifies each signature, so they can still commit; one whose nonce
+  // the new branch already used never can, and stays out.
+  for (const Block* prev : old)
+    for (const Transaction& tx : prev->txs)
+      if (committed_txs_.count(tx.id()) == 0 &&
+          tx.nonce >= state_.account(tx.from).nonce) {
+        ++counters_.sig_verifications;
+        mempool_.add(tx);
+      }
   tip_ = id;
   tip_height_ = height;
   return true;

@@ -23,42 +23,12 @@
 namespace mc::chain {
 
 class BlockValidator;
+class VmExecutionHook;
 
 namespace exec {
 class BlockExecutor;
-class ContractSpeculation;
 struct ExecutionConfig;
 }  // namespace exec
-
-/// Contract execution hook: the node owns the ledger, the VM layer owns
-/// contract storage. The hook returns gas used and may throw to signal an
-/// invalid contract transaction. A null hook executes contracts as no-ops
-/// with zero gas (pure-ledger simulations).
-class ExecutionHook {
- public:
-  virtual ~ExecutionHook() = default;
-
-  /// Execute tx's contract side effects at `height`; returns gas used.
-  virtual Gas execute(const Transaction& tx, Height height) = 0;
-
-  /// Roll contract state back to the seal of block `height` (DESIGN.md
-  /// §16); height 0 past the undo window resets to the empty state.
-  virtual void rollback_to(Height height) = 0;
-
-  /// A block at `height` was fully applied — seal its contract undo
-  /// record, in lockstep with the ledger's (default: no-op).
-  virtual void on_block_connected(Height height) { (void)height; }
-
-  /// Digest of the hook's current contract state (folded into the block
-  /// header's state_root; default: zero for hook-less chains).
-  [[nodiscard]] virtual Hash256 state_digest() const { return {}; }
-
-  /// Speculative-execution capability for the parallel scheduler; null
-  /// (the default) makes every contract tx execute at its commit slot.
-  [[nodiscard]] virtual exec::ContractSpeculation* speculation() {
-    return nullptr;
-  }
-};
 
 /// Per-node workload counters for energy/duplication accounting.
 struct NodeCounters {
@@ -88,8 +58,11 @@ enum class BlockVerdict : std::uint8_t {
 
 class Node {
  public:
+  /// `hook` executes Deploy/Call txs against the node's contract store;
+  /// a null hook executes them as no-ops with zero gas (pure-ledger
+  /// simulations).
   Node(crypto::PrivateKey key, ChainParams params, Block genesis,
-       ExecutionHook* hook = nullptr);
+       VmExecutionHook* hook = nullptr);
   // Out-of-line: BlockExecutor is incomplete here. Move-only — the
   // executor (and its footprint cache) travels with the node.
   ~Node();
@@ -192,7 +165,7 @@ class Node {
   crypto::PrivateKey key_;
   Address address_;
   ChainParams params_;
-  ExecutionHook* hook_;
+  VmExecutionHook* hook_;
   /// Execution pipeline (chain/execution): sequential by default,
   /// wave-parallel after set_execution. Owns the scheduler metrics.
   std::unique_ptr<exec::BlockExecutor> executor_;

@@ -1,6 +1,6 @@
 #include "chain/vm_hook.hpp"
 
-#include <stdexcept>
+#include <string>
 
 #include "common/serial.hpp"
 
@@ -33,7 +33,7 @@ std::optional<DecodedCall> decode_call_payload(BytesView payload) {
 
 namespace {
 
-/// VM context of a Call tx at `height` (execute and speculate alike).
+/// VM context of a Call tx at `height`.
 vm::ExecContext call_context(const Transaction& tx, Height height,
                              std::vector<vm::Word> calldata) {
   vm::ExecContext ctx;
@@ -47,53 +47,47 @@ vm::ExecContext call_context(const Transaction& tx, Height height,
 
 }  // namespace
 
-Gas VmExecutionHook::execute(const Transaction& tx, Height height) {
-  if (tx.kind == TxKind::Deploy) {
-    if (!vm::code_well_formed(BytesView(tx.payload)))
-      throw std::invalid_argument("malformed contract bytecode");
-    // This hook is the one sanctioned route from a Deploy transaction to
-    // the store; the admission gate and footprint summaries run inside.
-    const vm::Word id =
-        // medchain-lint: allow(footprint-bypass)
-        store_.deploy(tx.payload, fnv1a(BytesView(tx.from.data)), height);
-    // tx.id() here is a cache hit: the id was memoized when the tx was
-    // signed/decoded, so indexing by it costs no re-hash even though every
-    // member re-executes the deployment.
-    deployed_[tx.id()] = id;
-    // Deployment gas: proportional to code size (storage rent analogue).
-    return 200 * static_cast<Gas>(tx.payload.size());
-  }
-
-  if (tx.kind != TxKind::Call)
-    throw std::invalid_argument("hook only executes Deploy/Call");
-
-  auto call = decode_call_payload(BytesView(tx.payload));
-  if (!call.has_value())
-    throw std::invalid_argument("malformed call payload");
-  vm::ExecContext ctx = call_context(tx, height, std::move(call->calldata));
-  const auto result = store_.call(call->contract_id, std::move(ctx), host_);
-  if (!result.has_value())
-    throw std::invalid_argument("call to unknown contract");
-  if (!result->ok())
-    throw std::runtime_error(std::string("contract trapped: ") +
-                             std::string(vm::halt_name(result->halt)));
-  return result->gas_used;
+std::string CallRun::error() const {
+  if (!call.has_value()) return unresolved;
+  return "contract trapped: " + std::string(vm::halt_name(call->result.halt));
 }
 
-std::optional<exec::SpeculativeRun> VmExecutionHook::speculate(
-    const Transaction& tx, Height height) const {
-  if (tx.kind != TxKind::Call) return std::nullopt;
-  auto call = decode_call_payload(BytesView(tx.payload));
-  // Malformed payloads and non-speculable targets (unknown contracts,
-  // oracle users) fall back to the commit slot, where execute() raises
-  // the same verdict sequential execution would.
-  if (!call.has_value()) return std::nullopt;
-  if (!store_.speculable(call->contract_id)) return std::nullopt;
+std::optional<Gas> VmExecutionHook::deploy(const Transaction& tx,
+                                           Height height, std::string& error) {
+  if (!vm::code_well_formed(BytesView(tx.payload))) {
+    error = "malformed contract bytecode";
+    return std::nullopt;
+  }
+  vm::Word id = 0;
+  try {
+    // This hook is the one sanctioned route from a Deploy transaction to
+    // the store; the admission gate and footprint summaries run inside.
+    // medchain-lint: allow(footprint-bypass)
+    id = store_.deploy(tx.payload, fnv1a(BytesView(tx.from.data)), height);
+  } catch (const vm::AdmissionError& rejected) {
+    error = rejected.what();
+    return std::nullopt;
+  }
+  // tx.id() here is a cache hit: the id was memoized when the tx was
+  // signed/decoded, so indexing by it costs no re-hash even though every
+  // member re-executes the deployment.
+  deployed_[tx.id()] = id;
+  // Deployment gas: proportional to code size (storage rent analogue).
+  return 200 * static_cast<Gas>(tx.payload.size());
+}
 
+CallRun VmExecutionHook::call_speculative(const Transaction& tx,
+                                          Height height) const {
+  CallRun run;
+  auto call = decode_call_payload(BytesView(tx.payload));
+  if (!call.has_value()) {
+    run.unresolved = "malformed call payload";
+    return run;
+  }
   vm::ExecContext ctx = call_context(tx, height, std::move(call->calldata));
-  auto spec = store_.call_speculative(call->contract_id, std::move(ctx));
-  if (!spec.has_value()) return std::nullopt;
-  return exec::SpeculativeRun{std::move(*spec)};
+  run.call = store_.call_speculative(call->contract_id, std::move(ctx));
+  if (!run.call.has_value()) run.unresolved = "call to unknown contract";
+  return run;
 }
 
 std::optional<vm::Word> VmExecutionHook::contract_id_of(

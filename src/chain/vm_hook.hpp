@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
-#include "chain/execution/speculation.hpp"
-#include "chain/node.hpp"
 #include "chain/transaction.hpp"
+#include "chain/types.hpp"
 #include "vm/contract_store.hpp"
 
 namespace mc::chain {
@@ -30,54 +30,75 @@ struct DecodedCall {
 };
 std::optional<DecodedCall> decode_call_payload(BytesView payload);
 
-/// ExecutionHook backed by a per-node ContractStore.
+/// One Call's buffered run over the committed store
+/// (VmExecutionHook::call_speculative).
+struct CallRun {
+  /// The run; nullopt when the payload named no deployed contract.
+  std::optional<vm::SpeculativeCall> call;
+  /// Why no contract was resolved, when `call` is empty.
+  const char* unresolved = nullptr;
+
+  /// True when the run may commit: it resolved its target and halted ok.
+  [[nodiscard]] bool ok() const {
+    return call.has_value() && call->result.ok();
+  }
+  /// The verdict that rejects the block when !ok().
+  [[nodiscard]] std::string error() const;
+};
+
+/// Contract side of a node's Deploy/Call transactions, over its
+/// ContractStore.
 ///
 /// Deploy: tx.payload is VM bytecode; the created contract id is
 /// deterministic, so every node derives the same id (query it with
 /// contract_id_of after the deploy tx commits).
-/// Call: tx.payload is encode_call_payload(...); a trapped call (revert,
-/// out-of-gas, bad target) makes the whole transaction invalid, which
-/// keeps all replicas in agreement.
-class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
+/// Call: tx.payload is encode_call_payload(...). The block executor takes
+/// one route for every Call: call_speculative, still_current, commit. A
+/// call that resolves no target or traps (revert, out-of-gas, ORACLE)
+/// makes the whole block invalid, which keeps all replicas in agreement.
+class VmExecutionHook {
  public:
-  explicit VmExecutionHook(vm::ContractStore& store, vm::Host* host = nullptr)
-      : store_(store), host_(host) {}
+  explicit VmExecutionHook(vm::ContractStore& store) : store_(store) {}
+  virtual ~VmExecutionHook() = default;
+  VmExecutionHook(const VmExecutionHook&) = default;
+  VmExecutionHook(VmExecutionHook&&) = default;
+  VmExecutionHook& operator=(const VmExecutionHook&) = delete;
+  VmExecutionHook& operator=(VmExecutionHook&&) = delete;
 
-  Gas execute(const Transaction& tx, Height height) override;
+  /// Deploy tx's bytecode at `height` through the store's admission
+  /// gate; returns the deployment gas, or nullopt with `error` set to the
+  /// verdict that rejects the block.
+  [[nodiscard]] std::optional<Gas> deploy(const Transaction& tx, Height height,
+                                          std::string& error);
+
+  /// Run Call `tx` at `height` as one traced, buffered run over committed
+  /// contract state. Const over the store, so wave workers run it
+  /// concurrently against a frozen store.
+  [[nodiscard]] CallRun call_speculative(const Transaction& tx,
+                                         Height height) const;
+
+  /// True when every cell `call` observed still holds its observed value.
+  [[nodiscard]] bool still_current(const vm::SpeculativeCall& call) const {
+    return store_.speculation_current(call);
+  }
+
+  /// Fold a successful run into the store (block order).
+  void commit(const vm::SpeculativeCall& call) {
+    store_.commit_speculation(call);
+  }
+
+  /// Roll contract state back to the seal of block `height` (DESIGN.md
+  /// §16); height 0 past the undo window resets to the empty store.
   /// Deploy ids of rolled-back txs stay mapped: contract_id_of misses.
-  void rollback_to(Height height) override { store_.rollback_to(height); }
-
-  /// The parallel scheduler speculates Calls through this hook itself.
-  [[nodiscard]] exec::ContractSpeculation* speculation() override {
-    return this;
-  }
-
-  // exec::ContractSpeculation — buffered Call execution for the wave
-  // scheduler. speculate() is const over store state (safe concurrently
-  // against a frozen store); commit() folds the buffered writes, so
-  // speculate-then-commit at the commit slot is exactly execute().
-  [[nodiscard]] const vm::ContractStore* store() const override {
-    return &store_;
-  }
-  [[nodiscard]] std::optional<exec::SpeculativeRun> speculate(
-      const Transaction& tx, Height height) const override;
-  [[nodiscard]] bool still_current(
-      const exec::SpeculativeRun& run) const override {
-    return store_.speculation_current(run.call);
-  }
-  void commit(const exec::SpeculativeRun& run) override {
-    store_.commit_speculation(run.call, host_);
-  }
+  void rollback_to(Height height) { store_.rollback_to(height); }
 
   /// Seal the block's contract undo record; BlockExecutor::execute_block
   /// calls this right after sealing the ledger's.
-  void on_block_connected(Height height) override {
-    store_.snapshot(height);
-  }
+  virtual void on_block_connected(Height height) { store_.snapshot(height); }
 
-  [[nodiscard]] Hash256 state_digest() const override {
-    return store_.digest();
-  }
+  /// Digest of the contract state (folded into the block header's
+  /// state_root).
+  [[nodiscard]] Hash256 state_digest() const { return store_.digest(); }
 
   /// Contract id a deploy transaction created (valid on this node after
   /// the tx executed).
@@ -88,7 +109,6 @@ class VmExecutionHook : public ExecutionHook, public exec::ContractSpeculation {
 
  private:
   vm::ContractStore& store_;
-  vm::Host* host_;
   std::unordered_map<TxId, vm::Word> deployed_;
 };
 

@@ -12,8 +12,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "contracts/abi.hpp"
-#include "vm/contract_store.hpp"
+#include "contracts/contract.hpp"
 
 namespace mc::contracts {
 
@@ -32,16 +31,16 @@ struct AnalyticsRequest {
   Word result_digest = 0;
 };
 
-class AnalyticsContract {
+class AnalyticsContract : public ContractHandle {
  public:
   static const char* source();
   static const Bytes& bytecode();
 
   AnalyticsContract(vm::ContractStore& store, Word deployer,
-                    std::uint64_t height);
-  AnalyticsContract(vm::ContractStore& store, Word contract_id);
-
-  [[nodiscard]] Word id() const { return id_; }
+                    std::uint64_t height)
+      : ContractHandle(store, bytecode(), deployer, height) {}
+  AnalyticsContract(vm::ContractStore& store, Word contract_id)
+      : ContractHandle(store, contract_id) {}
 
   /// One-time: bind the trusted bridge identity allowed to post results
   /// and the policy contract that is the permission source of truth.
@@ -63,15 +62,6 @@ class AnalyticsContract {
   /// does when answering the oracle).
   std::optional<AnalyticsRequest> load(Word request_id);
 
-  [[nodiscard]] std::uint64_t last_gas() const { return last_gas_; }
-
- private:
-  std::optional<vm::ExecResult> invoke(Word caller,
-                                       std::vector<Word> calldata);
-
-  vm::ContractStore& store_;
-  Word id_;
-  std::uint64_t last_gas_ = 0;
 };
 
 }  // namespace mc::contracts

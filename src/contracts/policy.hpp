@@ -13,12 +13,11 @@
 #include <cstdint>
 #include <optional>
 
-#include "contracts/abi.hpp"
-#include "vm/contract_store.hpp"
+#include "contracts/contract.hpp"
 
 namespace mc::contracts {
 
-class PolicyContract {
+class PolicyContract : public ContractHandle {
  public:
   /// Assembly source of the on-chain contract.
   static const char* source();
@@ -27,13 +26,12 @@ class PolicyContract {
   static const Bytes& bytecode();
 
   /// Deploy a fresh instance into `store`.
-  PolicyContract(vm::ContractStore& store, Word deployer,
-                 std::uint64_t height);
+  PolicyContract(vm::ContractStore& store, Word deployer, std::uint64_t height)
+      : ContractHandle(store, bytecode(), deployer, height) {}
 
   /// Attach to an already-deployed instance.
-  PolicyContract(vm::ContractStore& store, Word contract_id);
-
-  [[nodiscard]] Word id() const { return id_; }
+  PolicyContract(vm::ContractStore& store, Word contract_id)
+      : ContractHandle(store, contract_id) {}
 
   /// Claim ownership of `dataset`. Fails (reverts) if already owned.
   bool register_dataset(Word caller, Word dataset);
@@ -49,17 +47,6 @@ class PolicyContract {
 
   /// Registered owner word, or 0 when unregistered.
   Word owner_of(Word dataset);
-
-  /// Gas used by the most recent call (0 before any call).
-  [[nodiscard]] std::uint64_t last_gas() const { return last_gas_; }
-
- private:
-  std::optional<vm::ExecResult> invoke(Word caller,
-                                       std::vector<Word> calldata);
-
-  vm::ContractStore& store_;
-  Word id_;
-  std::uint64_t last_gas_ = 0;
 };
 
 }  // namespace mc::contracts

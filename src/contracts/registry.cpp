@@ -214,27 +214,6 @@ const Bytes& RegistryContract::bytecode() {
   return code;
 }
 
-RegistryContract::RegistryContract(vm::ContractStore& store, Word deployer,
-                                   std::uint64_t height)
-    // Built-in contract with in-repo audited source: constructor-time
-    // deployment at node setup is sanctioned; summaries still run.
-    // medchain-lint: allow(footprint-bypass)
-    : store_(store), id_(store.deploy(bytecode(), deployer, height)) {}
-
-RegistryContract::RegistryContract(vm::ContractStore& store, Word contract_id)
-    : store_(store), id_(contract_id) {}
-
-std::optional<vm::ExecResult> RegistryContract::invoke(
-    Word caller, std::vector<Word> calldata) {
-  vm::ExecContext ctx;
-  ctx.caller = caller;
-  ctx.gas_limit = kDefaultCallGas;
-  ctx.calldata = std::move(calldata);
-  auto result = store_.call(id_, std::move(ctx));
-  if (result.has_value()) last_gas_ = result->gas_used;
-  return result;
-}
-
 bool RegistryContract::register_dataset(Word caller, Word dataset, Word digest,
                                         Word record_count, Word schema_id) {
   auto r = invoke(caller,

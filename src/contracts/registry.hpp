@@ -12,8 +12,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "contracts/abi.hpp"
-#include "vm/contract_store.hpp"
+#include "contracts/contract.hpp"
 
 namespace mc::contracts {
 
@@ -24,16 +23,16 @@ struct DatasetMeta {
   Word schema_id = 0;
 };
 
-class RegistryContract {
+class RegistryContract : public ContractHandle {
  public:
   static const char* source();
   static const Bytes& bytecode();
 
   RegistryContract(vm::ContractStore& store, Word deployer,
-                   std::uint64_t height);
-  RegistryContract(vm::ContractStore& store, Word contract_id);
-
-  [[nodiscard]] Word id() const { return id_; }
+                   std::uint64_t height)
+      : ContractHandle(store, bytecode(), deployer, height) {}
+  RegistryContract(vm::ContractStore& store, Word contract_id)
+      : ContractHandle(store, contract_id) {}
 
   /// Register a dataset; reverts when the id is already taken.
   bool register_dataset(Word caller, Word dataset, Word digest,
@@ -54,16 +53,6 @@ class RegistryContract {
 
   /// Tool code digest, or 0 when unregistered.
   Word tool_digest(Word tool);
-
-  [[nodiscard]] std::uint64_t last_gas() const { return last_gas_; }
-
- private:
-  std::optional<vm::ExecResult> invoke(Word caller,
-                                       std::vector<Word> calldata);
-
-  vm::ContractStore& store_;
-  Word id_;
-  std::uint64_t last_gas_ = 0;
 };
 
 }  // namespace mc::contracts

@@ -227,27 +227,6 @@ const Bytes& TrialContract::bytecode() {
   return code;
 }
 
-TrialContract::TrialContract(vm::ContractStore& store, Word deployer,
-                             std::uint64_t height)
-    // Built-in contract with in-repo audited source: constructor-time
-    // deployment at node setup is sanctioned; summaries still run.
-    // medchain-lint: allow(footprint-bypass)
-    : store_(store), id_(store.deploy(bytecode(), deployer, height)) {}
-
-TrialContract::TrialContract(vm::ContractStore& store, Word contract_id)
-    : store_(store), id_(contract_id) {}
-
-std::optional<vm::ExecResult> TrialContract::invoke(
-    Word caller, std::vector<Word> calldata) {
-  vm::ExecContext ctx;
-  ctx.caller = caller;
-  ctx.gas_limit = kDefaultCallGas;
-  ctx.calldata = std::move(calldata);
-  auto result = store_.call(id_, std::move(ctx));
-  if (result.has_value()) last_gas_ = result->gas_used;
-  return result;
-}
-
 bool TrialContract::register_trial(Word caller, Word trial,
                                    Word protocol_digest,
                                    Word primary_outcome) {

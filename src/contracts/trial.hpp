@@ -10,20 +10,19 @@
 #include <cstdint>
 #include <optional>
 
-#include "contracts/abi.hpp"
-#include "vm/contract_store.hpp"
+#include "contracts/contract.hpp"
 
 namespace mc::contracts {
 
-class TrialContract {
+class TrialContract : public ContractHandle {
  public:
   static const char* source();
   static const Bytes& bytecode();
 
-  TrialContract(vm::ContractStore& store, Word deployer, std::uint64_t height);
-  TrialContract(vm::ContractStore& store, Word contract_id);
-
-  [[nodiscard]] Word id() const { return id_; }
+  TrialContract(vm::ContractStore& store, Word deployer, std::uint64_t height)
+      : ContractHandle(store, bytecode(), deployer, height) {}
+  TrialContract(vm::ContractStore& store, Word contract_id)
+      : ContractHandle(store, contract_id) {}
 
   /// Pre-register trial with protocol digest + committed primary outcome.
   bool register_trial(Word caller, Word trial, Word protocol_digest,
@@ -45,16 +44,6 @@ class TrialContract {
 
   /// Pre-registered protocol digest (0 when unregistered).
   Word protocol_digest(Word trial);
-
-  [[nodiscard]] std::uint64_t last_gas() const { return last_gas_; }
-
- private:
-  std::optional<vm::ExecResult> invoke(Word caller,
-                                       std::vector<Word> calldata);
-
-  vm::ContractStore& store_;
-  Word id_;
-  std::uint64_t last_gas_ = 0;
 };
 
 }  // namespace mc::contracts

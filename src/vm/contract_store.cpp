@@ -19,17 +19,13 @@ Word committed(const Contracts& contracts, Word id, Word key) {
 
 /// Host for buffered runs: keeps events in the call (committed later, or
 /// never), serves SXLOAD from committed state and records what it read,
-/// and forwards oracle requests to `oracle` (null fails them: speculable()
-/// keeps oracle contracts out of speculative runs).
+/// and fails every oracle request.
 class SpeculativeHost : public Host {
  public:
-  SpeculativeHost(SpeculativeCall& spec, const Contracts& contracts,
-                  Host* oracle)
-      : spec_(spec), contracts_(contracts), oracle_(oracle) {}
+  SpeculativeHost(SpeculativeCall& spec, const Contracts& contracts)
+      : spec_(spec), contracts_(contracts) {}
 
-  std::optional<Word> oracle(Word request) override {
-    return oracle_ != nullptr ? oracle_->oracle(request) : std::nullopt;
-  }
+  std::optional<Word> oracle(Word) override { return std::nullopt; }
 
   void on_event(const Event& event) override { spec_.events.push_back(event); }
 
@@ -42,20 +38,7 @@ class SpeculativeHost : public Host {
  private:
   SpeculativeCall& spec_;
   const Contracts& contracts_;
-  Host* oracle_;
 };
-
-/// Scan bytecode for Op::Oracle (deployment-time; immediate widths keep
-/// the walk aligned on instruction boundaries).
-bool code_uses_oracle(BytesView code) {
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    const Op op = static_cast<Op>(code[pc]);
-    if (op == Op::Oracle) return true;
-    pc += 1 + static_cast<std::size_t>(immediate_width(op));
-  }
-  return false;
-}
 
 #if defined(MEDCHAIN_AUDIT)
 /// Audit leg of the symbolic-domain contract: evaluate the deployed
@@ -98,7 +81,6 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   DeployedContract dc;
   dc.id = id;
   dc.deployer = deployer;
-  dc.uses_oracle = code_uses_oracle(BytesView(code));
   dc.selector_summaries = analysis::summarize_selectors(BytesView(code));
   dc.code = std::move(code);
   dc.deployed_height = height;
@@ -108,13 +90,8 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   return id;
 }
 
-bool ContractStore::speculable(Word id) const {
-  auto it = contracts_.find(id);
-  return it != contracts_.end() && !it->second.uses_oracle;
-}
-
-std::optional<SpeculativeCall> ContractStore::run(
-    Word id, ExecContext ctx, Host* oracle, bool traced) const {
+std::optional<SpeculativeCall> ContractStore::run(Word id, ExecContext ctx,
+                                                  bool traced) const {
   auto it = contracts_.find(id);
   if (it == contracts_.end()) return std::nullopt;
   const DeployedContract& dc = it->second;
@@ -127,7 +104,7 @@ std::optional<SpeculativeCall> ContractStore::run(
 #endif
   ctx.trace = traced ? &spec.trace : nullptr;
 
-  SpeculativeHost host(spec, contracts_, oracle);
+  SpeculativeHost host(spec, contracts_);
   spec.result = execute(BytesView(dc.code), dc.storage, ctx, host);
 
 #if defined(MEDCHAIN_AUDIT)
@@ -156,7 +133,7 @@ std::optional<SpeculativeCall> ContractStore::call_speculative(
     Word id, ExecContext ctx) const {
   // Traced: observations come from the read set, and the scheduler
   // records the trace as the tx's dynamic footprint.
-  return run(id, std::move(ctx), nullptr, /*traced=*/true);
+  return run(id, std::move(ctx), /*traced=*/true);
 }
 
 bool ContractStore::speculation_current(const SpeculativeCall& spec) const {
@@ -165,8 +142,7 @@ bool ContractStore::speculation_current(const SpeculativeCall& spec) const {
   return true;
 }
 
-void ContractStore::commit_speculation(const SpeculativeCall& spec,
-                                       Host* event_host) {
+void ContractStore::commit_speculation(const SpeculativeCall& spec) {
   auto it = contracts_.find(spec.contract_id);
   MC_ASSERT(it != contracts_.end(),
             "committing a speculative call into a missing contract");
@@ -185,10 +161,7 @@ void ContractStore::commit_speculation(const SpeculativeCall& spec,
   }
   fold_writes(storage, spec.result.writes);
   if (!record.event_count.has_value()) record.event_count = events_.size();
-  for (const Event& event : spec.events) {
-    events_.push_back(event);
-    if (event_host != nullptr) event_host->on_event(event);
-  }
+  events_.insert(events_.end(), spec.events.begin(), spec.events.end());
 }
 
 const DeployedContract* ContractStore::contract(Word id) const {
@@ -196,11 +169,10 @@ const DeployedContract* ContractStore::contract(Word id) const {
   return it == contracts_.end() ? nullptr : &it->second;
 }
 
-std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx,
-                                              Host* oracle_host) {
-  auto spec = run(id, std::move(ctx), oracle_host, /*traced=*/false);
+std::optional<ExecResult> ContractStore::call(Word id, ExecContext ctx) {
+  auto spec = run(id, std::move(ctx), /*traced=*/false);
   if (!spec.has_value()) return std::nullopt;
-  if (spec->result.ok()) commit_speculation(*spec, oracle_host);
+  if (spec->result.ok()) commit_speculation(*spec);
   return std::move(spec->result);
 }
 

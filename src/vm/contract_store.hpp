@@ -20,8 +20,8 @@
 namespace mc::vm {
 
 /// Thrown by ContractStore::deploy when the static analyzer rejects the
-/// code under the store's admission policy. Derives invalid_argument so
-/// the block executor's handler marks the tx invalid.
+/// code under the store's admission policy; VmExecutionHook::deploy turns
+/// it into the verdict that rejects a Deploy's block.
 class AdmissionError : public std::invalid_argument {
  public:
   explicit AdmissionError(const std::string& reason)
@@ -41,11 +41,6 @@ struct DeployedContract {
   /// once at deployment. The execution layer concretizes these against a
   /// tx's calldata to schedule on exact cells (DESIGN.md §12–13).
   std::vector<analysis::SelectorSummary> selector_summaries;
-  /// Code contains Op::Oracle (scanned at deployment): such calls must
-  /// not be re-run speculatively — a rerun would duplicate the external
-  /// side effect — so the parallel scheduler executes them at their
-  /// commit slot instead.
-  bool uses_oracle = false;
 };
 
 /// One buffered contract run over the committed store (DESIGN.md §13),
@@ -79,21 +74,17 @@ class ContractStore {
   [[nodiscard]] bool exists(Word id) const { return contracts_.count(id) > 0; }
   [[nodiscard]] const DeployedContract* contract(Word id) const;
 
-  /// Execute a call into `id`: one buffered run, its oracle requests sent
-  /// to `oracle_host` (null fails them), then commit_speculation() if it
-  /// halted ok. Returns nullopt when the contract does not exist.
-  std::optional<ExecResult> call(Word id, ExecContext ctx,
-                                 Host* oracle_host = nullptr);
+  /// Execute a call into `id`: one buffered run, then commit_speculation()
+  /// if it halted ok. Returns nullopt when the contract does not exist.
+  /// No store run has an oracle: ORACLE traps with OracleFailure (the
+  /// data oracle lives off-chain, src/oracle), so every run is free of
+  /// side effects and safe to discard and repeat.
+  std::optional<ExecResult> call(Word id, ExecContext ctx);
 
   // --- speculative execution (chain/execution scheduler) ----------------
 
-  /// True when `id` exists and its code is oracle-free, i.e. a
-  /// speculative run of it is safe to discard and repeat.
-  [[nodiscard]] bool speculable(Word id) const;
-
   /// call()'s buffered run, traced and left uncommitted: the store is not
-  /// mutated, and oracle use traps (speculable() gates it out beforehand).
-  /// Returns nullopt for an unknown contract.
+  /// mutated. Returns nullopt for an unknown contract.
   [[nodiscard]] std::optional<SpeculativeCall> call_speculative(
       Word id, ExecContext ctx) const;
 
@@ -102,10 +93,8 @@ class ContractStore {
   [[nodiscard]] bool speculation_current(const SpeculativeCall& spec) const;
 
   /// Apply a successful run: fold its write-set into the contract's
-  /// storage (0 erases) and append its events, forwarding each to
-  /// `event_host` when non-null (monitor-node parity with call()).
-  void commit_speculation(const SpeculativeCall& spec,
-                          Host* event_host = nullptr);
+  /// storage (0 erases) and append its events.
+  void commit_speculation(const SpeculativeCall& spec);
 
   /// All events ever emitted, oldest first.
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
@@ -145,10 +134,10 @@ class ContractStore {
     std::set<Word> created;
   };
 
-  /// One buffered run; `oracle` answers ORACLE (null fails it). Audit
-  /// builds trace every run; others only when `traced`.
-  [[nodiscard]] std::optional<SpeculativeCall> run(
-      Word id, ExecContext ctx, Host* oracle, bool traced) const;
+  /// One buffered run. Audit builds trace every run; others only when
+  /// `traced`.
+  [[nodiscard]] std::optional<SpeculativeCall> run(Word id, ExecContext ctx,
+                                                   bool traced) const;
   void undo(const UndoRecord& record);
 
   std::map<Word, DeployedContract> contracts_;  // ordered => stable digest

@@ -763,7 +763,7 @@ TEST(ParallelExec, AuditorPassesRandomizedMixedWorkload) {
   const audit::AuditReport report = auditor.audit_parallel_execution(
       rig.chain,
       [] {
-        return std::unique_ptr<ExecutionHook>(new OwningVmHook());
+        return std::unique_ptr<VmExecutionHook>(new OwningVmHook());
       },
       rig.pool, /*workers=*/4);
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -891,10 +891,145 @@ TEST(ParallelExec, AuditorAgreesOnRejectedBlock) {
   const audit::AuditReport report = auditor.audit_parallel_execution(
       chain,
       [] {
-        return std::unique_ptr<ExecutionHook>(new OwningVmHook());
+        return std::unique_ptr<VmExecutionHook>(new OwningVmHook());
       },
       rig.pool, /*workers=*/4);
   EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+// --- verdict parity: every contract failure kind ----------------------------
+
+// ORACLE behind a calldata branch: a non-zero calldata[0] asks the
+// oracle, which no stored-contract run answers, so the call traps; zero
+// takes the plain branch and writes storage[1].
+const char* kOracleBranchSource = R"(
+PUSH 0
+CALLDATALOAD
+JUMPI @ask
+PUSH 1
+PUSH 1
+SSTORE
+STOP
+ask:
+PUSH 7
+ORACLE
+PUSH 2
+SSTORE
+STOP
+)";
+
+// Each contract failure kind sits mid-block between successful calls and
+// transfers. One worker and four workers must reach the same verdict with
+// the same error string, the same receipts and the same ledger and
+// contract digests, and the auditor's double replay must agree.
+TEST(ParallelExec, ContractFailureVerdictsMatchAcrossWorkerCounts) {
+  const auto users = make_users(8);
+  const ChainParams params = params_with_premine(users);
+  ThreadPool pool{4};
+  const Address payee =
+      crypto::address_of(crypto::key_from_seed("exec-payee").pub);
+
+  Block setup;
+  setup.header.height = 1;
+  setup.txs = {make_deploy(users[0], vm::assemble(kCounterSource), 0),
+               make_deploy(users[0], vm::assemble(kOracleBranchSource), 1)};
+  setup.header.tx_root = setup.compute_tx_root();
+  vm::Word counter = 0;
+  vm::Word oracle = 0;
+  {
+    ExecStack probe(params, exec::ExecutionConfig{});
+    WorldState state;
+    for (const auto& [addr, amount] : params.premine)
+      state.credit(addr, amount);
+    probe.apply(state, setup);
+    if (testing::Test::HasFatalFailure()) return;
+    counter = *probe.hook.contract_id_of(setup.txs[0].id());
+    oracle = *probe.hook.contract_id_of(setup.txs[1].id());
+  }
+
+  const auto signed_tx = [&](TxKind kind, Bytes payload) {
+    Transaction tx;
+    tx.kind = kind;
+    tx.gas_limit = 500'000;
+    tx.payload = std::move(payload);
+    tx.sign_with(users[5]);
+    return tx;
+  };
+  struct Case {
+    const char* name;
+    Transaction tx;
+    const char* error;  ///< "" when the block is valid
+  };
+  const std::vector<Case> cases = {
+      {"malformed call payload", signed_tx(TxKind::Call, Bytes{1, 2, 3}),
+       "malformed call payload"},
+      {"unknown contract", make_call(users[5], 0xdead, {1, 1}, 0),
+       "call to unknown contract"},
+      {"oracle branch taken", make_call(users[5], oracle, {1}, 0),
+       "contract trapped: oracle-failure"},
+      {"oracle branch not taken", make_call(users[5], oracle, {0}, 0), ""},
+      {"malformed deploy bytecode", signed_tx(TxKind::Deploy, Bytes{0xff}),
+       "malformed contract bytecode"},
+      {"admission-rejected deploy", signed_tx(TxKind::Deploy, Bytes{0x02}),
+       "contract admission rejected: possible stack underflow"},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Block block;
+    block.header.height = 2;
+    block.txs = {make_transfer(users[2], payee, 10, 0),
+                 make_call(users[3], counter, {1, 5}, 0), c.tx,
+                 make_call(users[4], counter, {1, 6}, 0),
+                 make_transfer(users[6], payee, 10, 0)};
+    block.header.tx_root = block.compute_tx_root();
+
+    struct Outcome {
+      exec::BlockExecResult result;
+      Hash256 ledger;
+      Hash256 contracts;
+      std::unique_ptr<ExecStack> stack;
+    };
+    std::vector<Outcome> outcomes;
+    for (const std::size_t workers : {1, 4}) {
+      Outcome o;
+      o.stack = std::make_unique<ExecStack>(
+          params, exec::ExecutionConfig{workers, &pool});
+      WorldState state;
+      for (const auto& [addr, amount] : params.premine)
+        state.credit(addr, amount);
+      o.stack->apply(state, setup);
+      if (testing::Test::HasFatalFailure()) return;
+      o.result =
+          o.stack->executor.execute_block(state, block, &o.stack->receipts);
+      o.ledger = state.digest();
+      o.contracts = o.stack->store.digest();
+      outcomes.push_back(std::move(o));
+    }
+    const Outcome& seq = outcomes[0];
+    const Outcome& par = outcomes[1];
+    EXPECT_EQ(seq.result.ok, std::string(c.error).empty());
+    EXPECT_EQ(seq.result.error, c.error);
+    EXPECT_EQ(par.result.ok, seq.result.ok);
+    EXPECT_EQ(par.result.error, seq.result.error);
+    EXPECT_EQ(seq.result.txs_applied, seq.result.ok ? 5u : 2u);
+    EXPECT_EQ(par.result.txs_applied, seq.result.txs_applied);
+    EXPECT_EQ(par.result.gas_used, seq.result.gas_used);
+    expect_same_receipts(*par.stack, *seq.stack);
+    EXPECT_EQ(par.ledger, seq.ledger);
+    EXPECT_EQ(par.contracts, seq.contracts);
+    // The four-worker stack scheduled the block in waves.
+    EXPECT_GT(par.stack->executor.metrics().waves, 0u);
+
+    const audit::ChainAuditor auditor(params);
+    const audit::AuditReport report = auditor.audit_parallel_execution(
+        {make_genesis("exec-chain", ~0ULL), setup, block},
+        [] {
+          return std::unique_ptr<VmExecutionHook>(new OwningVmHook());
+        },
+        pool, /*workers=*/4);
+    EXPECT_TRUE(report.ok()) << report.summary();
+  }
 }
 
 }  // namespace

@@ -280,6 +280,7 @@ TEST(Node, ReceiptsVanishAfterReorg) {
   ASSERT_TRUE(node.receipt(tx.id()).has_value());
 
   // A longer empty fork reorgs the transfer out; its receipt disappears.
+  const std::uint64_t sigs = node.counters().sig_verifications;
   for (int i = 0; i < 2; ++i) {
     const Block fb = fork_builder.propose(1'500 + 1'000 * i);
     ASSERT_EQ(fork_builder.receive(fb), BlockVerdict::Accepted);
@@ -287,6 +288,16 @@ TEST(Node, ReceiptsVanishAfterReorg) {
   }
   EXPECT_EQ(node.height(), 2u);
   EXPECT_FALSE(node.receipt(tx.id()).has_value());
+
+  // The reorged-out transfer is back in the mempool (its signature
+  // checked once more), and the node's next block commits it.
+  EXPECT_TRUE(node.mempool().contains(tx.id()));
+  EXPECT_EQ(node.counters().sig_verifications, sigs + 1);
+  const Block next = node.propose(3'000);
+  ASSERT_EQ(next.txs.size(), 1u);
+  ASSERT_EQ(node.receive(next), BlockVerdict::Accepted);
+  EXPECT_TRUE(node.receipt(tx.id()).has_value());
+  EXPECT_FALSE(node.mempool().contains(tx.id()));
 }
 
 TEST(Node, AnchorTransactionsReachState) {
