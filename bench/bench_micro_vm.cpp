@@ -2,6 +2,7 @@
 // calls (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include "audit/vm_reference.hpp"
 #include "contracts/policy.hpp"
 #include "vm/analysis/analysis.hpp"
 #include "vm/assembler.hpp"
@@ -40,6 +41,76 @@ RETURN 1
       static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_OpcodeDispatchLoop);
+
+// The perfbench ingest_contract mixer: selector 1 runs calldata[1]
+// rounds of an LCG/xorshift mix and folds the result into storage[1].
+const char* kMixerSource = R"(
+PUSH 0
+CALLDATALOAD
+PUSH 1
+EQ
+JUMPI @work
+PUSH 1
+SLOAD
+RETURN 1
+work:
+PUSH 2
+CALLDATALOAD
+PUSH 1
+CALLDATALOAD
+loop:
+DUP 1
+ISZERO
+JUMPI @done
+PUSH 1
+SUB
+SWAP 1
+PUSH 48271
+MUL
+PUSH 11
+ADD
+DUP 1
+PUSH 7
+SHR
+XOR
+SWAP 1
+JUMP @loop
+done:
+POP
+PUSH 1
+SLOAD
+ADD
+PUSH 1
+SSTORE
+STOP
+)";
+
+void BM_MixerCall(benchmark::State& state) {
+  // One 1,000-round mixer call (about 18k steps): arg 0 runs the program
+  // lowered at deployment, as ContractStore does; arg 1 the byte-at-a-
+  // time reference. s_per_step is the time per retired instruction.
+  const bool reference = state.range(0) == 1;
+  const Bytes code = assemble(kMixerSource);
+  const DecodedProgram program =
+      lower(BytesView(code), analysis::analyze(BytesView(code)));
+  Storage storage{{1, 5}};
+  ExecContext ctx;
+  ctx.calldata = {1, 1000, static_cast<Word>(state.range(0)) + 17};
+  NullHost host;
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const ExecResult result =
+        reference ? audit::reference_execute(BytesView(code), storage, ctx, host)
+                  : execute(program, storage, ctx, host);
+    benchmark::DoNotOptimize(result.writes);
+    steps += result.steps;
+  }
+  state.SetLabel(reference ? "reference" : "decoded");
+  state.counters["s_per_step"] = benchmark::Counter(
+      static_cast<double>(steps),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MixerCall)->Arg(0)->Arg(1);
 
 void BM_StorageWrites(benchmark::State& state) {
   const Bytes code = assemble(R"(

@@ -83,7 +83,10 @@ int analyze(const std::uint8_t* data, std::size_t size) {
   vm::ExecTrace trace;
   ctx.trace = &trace;
   AnalyzeHost host;
-  const vm::ExecResult result = vm::execute(code, storage, ctx, host);
+  // Lowered against its own report, as ContractStore runs admitted code:
+  // a clean report drops the stack checks this run then relies on.
+  const vm::ExecResult result =
+      vm::execute(vm::lower(code, report), storage, ctx, host);
   // The returned write-set is bounded by the same trace: every buffered
   // key was traced as a write.
   for (const auto& entry : result.writes)

@@ -8,7 +8,11 @@
 // yield the same halt, gas, return values, events, write-set and
 // post-storage every time. Both properties are asserted here, plus
 // crash-freedom of the static checker and the disassembler over the
-// same bytes.
+// same bytes. Every run is also compared with the byte-at-a-time
+// reference interpreter (audit/vm_reference.hpp) on the whole outcome,
+// trace included: once lowered with every stack check, and once lowered
+// against the bytes' static analysis, which drops the checks when the
+// analysis is clean.
 
 #include "fuzz/harness/fuzz_common.hpp"
 #include "fuzz/harness/fuzz_targets.hpp"
@@ -17,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "audit/vm_reference.hpp"
+#include "vm/analysis/analysis.hpp"
 #include "vm/assembler.hpp"
 #include "vm/vm.hpp"
 
@@ -32,22 +38,21 @@ class RecordingHost : public vm::Host {
     if ((request & 7) == 0) return std::nullopt;
     return request * 2654435761ULL + 1;
   }
-  void on_event(const vm::Event& event) override {
-    event_words_ += 1 + event.args.size();
-  }
-  [[nodiscard]] std::uint64_t event_words() const { return event_words_; }
+  void on_event(const vm::Event& event) override { events.push_back(event); }
 
- private:
-  std::uint64_t event_words_ = 0;
+  std::vector<vm::Event> events;
 };
 
 struct RunOutcome {
   vm::ExecResult result;
   vm::Storage storage;
-  std::uint64_t event_words = 0;
+  std::vector<vm::Event> events;
+  vm::ExecTrace trace;
 };
 
-RunOutcome run_once(BytesView code) {
+/// One run of `code`: through `program` when given, else through the
+/// reference interpreter.
+RunOutcome run_once(BytesView code, const vm::DecodedProgram* program) {
   RunOutcome out;
   // Pre-seeded storage so SLOAD/SSTORE interact with existing keys.
   out.storage[1] = 7;
@@ -61,11 +66,19 @@ RunOutcome run_once(BytesView code) {
   ctx.gas_limit = 100'000;   // tight: bounds work per input
   ctx.step_limit = 50'000;   // hard bound beyond gas
   ctx.calldata = {1, 2, 3, 0xdeadbeefULL};
+  ctx.trace = &out.trace;
   RecordingHost host;
-  out.result = vm::execute(code, out.storage, ctx, host);
+  out.result = program != nullptr
+                   ? vm::execute(*program, out.storage, ctx, host)
+                   : audit::reference_execute(code, out.storage, ctx, host);
   vm::fold_writes(out.storage, out.result.writes);
-  out.event_words = host.event_words();
+  out.events = std::move(host.events);
   return out;
+}
+
+bool same_outcome(const RunOutcome& a, const RunOutcome& b) {
+  return a.result == b.result && a.storage == b.storage &&
+         a.events == b.events && a.trace == b.trace;
 }
 
 }  // namespace
@@ -79,7 +92,8 @@ int vm_execute(const std::uint8_t* data, std::size_t size) {
   MC_FUZZ_EXPECT(vm::disassemble(code) == listing,
                  "disassemble is not deterministic");
 
-  const RunOutcome a = run_once(code);
+  const vm::DecodedProgram checked = vm::lower(code);
+  const RunOutcome a = run_once(code, &checked);
   MC_FUZZ_EXPECT(a.result.gas_used <= 100'000, "gas accounting exceeded cap");
   MC_FUZZ_EXPECT(a.result.steps <= 50'001, "step count exceeded its limit");
   if (!a.result.ok()) {
@@ -94,17 +108,18 @@ int vm_execute(const std::uint8_t* data, std::size_t size) {
   }
 
   // Replay determinism: a second run must agree bit-for-bit.
-  const RunOutcome b = run_once(code);
-  MC_FUZZ_EXPECT(a.result.halt == b.result.halt, "halt diverged on replay");
-  MC_FUZZ_EXPECT(a.result.gas_used == b.result.gas_used,
-                 "gas diverged on replay");
-  MC_FUZZ_EXPECT(a.result.steps == b.result.steps, "steps diverged on replay");
-  MC_FUZZ_EXPECT(a.result.returned == b.result.returned,
-                 "return values diverged on replay");
-  MC_FUZZ_EXPECT(a.result.writes == b.result.writes,
-                 "write-set diverged on replay");
-  MC_FUZZ_EXPECT(a.storage == b.storage, "post-storage diverged on replay");
-  MC_FUZZ_EXPECT(a.event_words == b.event_words, "events diverged on replay");
+  const RunOutcome b = run_once(code, &checked);
+  MC_FUZZ_EXPECT(same_outcome(a, b), "run diverged on replay");
+
+  // The lowered program, with and without its stack checks, against the
+  // byte-at-a-time reference.
+  const RunOutcome reference = run_once(code, nullptr);
+  MC_FUZZ_EXPECT(same_outcome(a, reference),
+                 "checked decoded program disagrees with the reference");
+  const vm::DecodedProgram analyzed =
+      vm::lower(code, vm::analysis::analyze(code));
+  MC_FUZZ_EXPECT(same_outcome(run_once(code, &analyzed), reference),
+                 "analyzed decoded program disagrees with the reference");
 
   // A program the static checker accepts must still halt cleanly — the
   // checker is a pre-filter, never a substitute for runtime traps.

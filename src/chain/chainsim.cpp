@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -39,10 +40,10 @@ struct SimWorld {
 
   struct TxTrack {
     sim::SimTime submitted_at = 0;
-    std::size_t commit_votes = 0;  ///< nodes that committed it
-    bool recorded = false;
+    std::set<sim::NodeId> voters;  ///< nodes seen with it on their best chain
   };
   std::unordered_map<TxId, TxTrack> tracked;
+  std::vector<TxId> pending;  ///< tracked, not yet recorded; submit order
   std::vector<double> latencies;
   sim::SimTime last_commit_at = 0;
 
@@ -60,16 +61,20 @@ void on_gossip(SimWorld& world, sim::NodeId node, GossipKind kind,
   const Block block = Block::decode(BytesView(payload));
   const BlockVerdict verdict = n.receive(block);
   if (verdict != BlockVerdict::Accepted) return;
-  // Count commit votes for every tracked tx this node now has on its
-  // best chain (covers reorg-adopted side blocks too).
-  for (const auto& tx : block.txs) {
-    auto it = world.tracked.find(tx.id());
-    if (it == world.tracked.end() || it->second.recorded) continue;
-    if (++it->second.commit_votes >= world.nodes.size() / 2 + 1) {
-      it->second.recorded = true;
-      world.latencies.push_back(at - it->second.submitted_at);
-      world.last_commit_at = std::max(world.last_commit_at, at);
+  // A receive can connect more than `block` (a side branch that becomes
+  // best through this child), so every pending tx this node now has on
+  // its best chain gets the node's vote, once per node however often a
+  // reorg moves it out and back in.
+  for (auto it = world.pending.begin(); it != world.pending.end();) {
+    SimWorld::TxTrack& track = world.tracked.at(*it);
+    if (!n.tx_committed(*it) || !track.voters.insert(node).second ||
+        track.voters.size() < world.nodes.size() / 2 + 1) {
+      ++it;
+      continue;
     }
+    world.latencies.push_back(at - track.submitted_at);
+    world.last_commit_at = std::max(world.last_commit_at, at);
+    it = world.pending.erase(it);
   }
 }
 
@@ -88,7 +93,8 @@ void submit_next_tx(SimWorld& world) {
       world.client_nonces[from_idx]++,
       /*gas_price=*/1 + world.rng.uniform(4));
 
-  world.tracked[tx.id()] = SimWorld::TxTrack{world.queue.now(), 0, false};
+  world.tracked[tx.id()] = SimWorld::TxTrack{world.queue.now(), {}};
+  world.pending.push_back(tx.id());
   const sim::NodeId origin =
       static_cast<sim::NodeId>(world.rng.uniform(world.nodes.size()));
   world.gossip->publish(origin, GossipKind::Transaction, tx.id(), tx.encode());
@@ -224,6 +230,10 @@ ChainSimReport run_chain_sim(const ChainSimConfig& config) {
       world.latencies.empty() ? 0 : total_latency / world.latencies.size();
   report.blocks_produced = world.blocks_produced;
   report.blocks_on_best_chain = world.nodes[0]->height();
+  for (const auto& entry : world.tracked)
+    if (std::all_of(world.nodes.begin(), world.nodes.end(),
+                    [&](const auto& n) { return n->tx_committed(entry.first); }))
+      ++report.txs_on_every_best_chain;
 
   for (std::size_t i = 0; i < world.nodes.size(); ++i) {
     const NodeCounters& c = world.nodes[i]->counters();

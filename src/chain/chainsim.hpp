@@ -44,7 +44,10 @@ struct ChainSimConfig {
 struct ChainSimReport {
   std::size_t nodes = 0;
   std::size_t submitted_txs = 0;
+  /// Txs a majority of nodes have had on their best chain.
   std::size_t committed_txs = 0;
+  /// Txs on the best chain of every node when the run ends.
+  std::size_t txs_on_every_best_chain = 0;
   double duration_s = 0;  ///< sim time of the last commit
   double throughput_tps = 0;
   double avg_commit_latency_s = 0;

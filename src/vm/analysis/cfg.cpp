@@ -11,8 +11,8 @@ Program decode_program(BytesView code) {
   program.instr_at.assign(code.size(), Program::kNoInstr);
   std::size_t pc = 0;
   while (pc < code.size()) {
-    // Mirror vm.cpp's jump_targets(): every decoded start is a boundary,
-    // including the undefined-opcode position itself.
+    // Every decoded start is a boundary, including the undefined-opcode
+    // position itself (audit::reference_execute's jump rule).
     program.instr_at[pc] = program.instrs.size();
     if (!is_valid_op(code[pc])) {
       program.instrs.push_back({pc, Op::Stop, 0, 1, /*valid=*/false});

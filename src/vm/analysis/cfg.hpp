@@ -1,9 +1,10 @@
 // Control-flow graph layer of the bytecode static analyzer.
 //
-// Decodes an Op blob into an instruction list mirroring vm::execute's
-// boundary rules exactly (the first undefined opcode or truncated
-// immediate is itself a valid jump target that traps at runtime; bytes
-// beyond it are not), then builds basic blocks once the abstract
+// Decodes an Op blob into an instruction list (the first undefined
+// opcode or truncated immediate is itself a valid jump target that
+// traps at runtime; bytes beyond it are not). This is the one decoder:
+// vm::lower() builds each contract's executable program from it too.
+// Then builds basic blocks once the abstract
 // interpreter has resolved constant jump targets. The block graph is
 // what the gas bound (longest acyclic path), loop-head identification
 // (back edges) and unreachable-code detection are computed on.
@@ -29,7 +30,7 @@ struct Instr {
 };
 
 /// Decoded program: instruction list plus the pc -> index map the
-/// interpreter and jump validation share.
+/// analyzer and the VM's jump resolution share.
 struct Program {
   std::vector<Instr> instrs;
   /// index into instrs for each code byte that starts an instruction;

@@ -1,6 +1,7 @@
 #include "vm/contract_store.hpp"
 
 #include "audit/check.hpp"
+#include "audit/vm_reference.hpp"
 #include "common/serial.hpp"
 #include "crypto/sha256.hpp"
 
@@ -82,6 +83,7 @@ Word ContractStore::deploy(Bytes code, Word deployer, std::uint64_t height) {
   dc.id = id;
   dc.deployer = deployer;
   dc.selector_summaries = analysis::summarize_selectors(BytesView(code));
+  dc.program = lower(BytesView(code), report);
   dc.code = std::move(code);
   dc.deployed_height = height;
   dc.report = std::move(report);
@@ -105,9 +107,23 @@ std::optional<SpeculativeCall> ContractStore::run(Word id, ExecContext ctx,
   ctx.trace = traced ? &spec.trace : nullptr;
 
   SpeculativeHost host(spec, contracts_);
-  spec.result = execute(BytesView(dc.code), dc.storage, ctx, host);
+  spec.result = execute(dc.program, dc.storage, ctx, host);
 
 #if defined(MEDCHAIN_AUDIT)
+  // The byte-at-a-time reference must see the very same run: result,
+  // events, trace and foreign observations.
+  SpeculativeCall reference;
+  SpeculativeHost reference_host(reference, contracts_);
+  ExecContext reference_ctx = ctx;
+  reference_ctx.trace = &reference.trace;
+  reference.result = audit::reference_execute(
+      BytesView(dc.code), dc.storage, reference_ctx, reference_host);
+  MC_DCHECK(reference.result == spec.result &&
+                reference.events == spec.events &&
+                reference.trace == spec.trace &&
+                reference.observed == spec.observed,
+            "decoded program disagrees with the reference interpreter");
+
   // Audit builds mechanically enforce the analyzer's soundness contract:
   // the dynamic footprint/stack of every call must sit inside the static
   // bounds proven at deployment.

@@ -41,6 +41,9 @@ struct DeployedContract {
   /// once at deployment. The execution layer concretizes these against a
   /// tx's calldata to schedule on exact cells (DESIGN.md §12–13).
   std::vector<analysis::SelectorSummary> selector_summaries;
+  /// `code` lowered once at deployment; every call runs this
+  /// (DESIGN.md §12 "Decoded programs").
+  DecodedProgram program;
 };
 
 /// One buffered contract run over the committed store (DESIGN.md §13),

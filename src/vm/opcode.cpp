@@ -43,10 +43,4 @@ std::string_view mnemonic(Op op) {
   return "UNKNOWN";
 }
 
-bool is_valid_op(std::uint8_t byte) {
-  for (const auto& [mnem, op] : kMnemonics)
-    if (static_cast<std::uint8_t>(op) == byte) return true;
-  return false;
-}
-
 }  // namespace mc::vm

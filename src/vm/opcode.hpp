@@ -8,6 +8,7 @@
 // the duplicated execution cost of anything heavier.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -109,7 +110,39 @@ constexpr std::uint64_t gas_cost(Op op) {
 std::optional<Op> op_from_mnemonic(std::string_view name);
 std::string_view mnemonic(Op op);
 
+namespace detail {
+
+/// One case per enumerator and no default, so -Wswitch flags an opcode
+/// added to Op but not here.
+constexpr bool defined_op(Op op) {
+  switch (op) {
+    case Op::Stop: case Op::Push: case Op::Pop: case Op::Dup: case Op::Swap:
+    case Op::Add: case Op::Sub: case Op::Mul: case Op::Div: case Op::Mod:
+    case Op::Lt: case Op::Gt: case Op::Eq: case Op::IsZero: case Op::And:
+    case Op::Or: case Op::Xor: case Op::Not: case Op::Shl: case Op::Shr:
+    case Op::Jump: case Op::JumpI:
+    case Op::CallDataLoad: case Op::CallDataSize:
+    case Op::SLoad: case Op::SStore: case Op::SxLoad:
+    case Op::Caller: case Op::CallValue: case Op::Height: case Op::Timestamp:
+    case Op::GasLeft:
+    case Op::Emit: case Op::HashN: case Op::Oracle:
+    case Op::Return: case Op::Revert:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace detail
+
+/// Defined-opcode flag for every byte value.
+inline constexpr std::array<bool, 256> kValidOp = [] {
+  std::array<bool, 256> table{};
+  for (std::size_t b = 0; b < table.size(); ++b)
+    table[b] = detail::defined_op(static_cast<Op>(b));
+  return table;
+}();
+
 /// True if the byte value corresponds to a defined opcode.
-bool is_valid_op(std::uint8_t byte);
+constexpr bool is_valid_op(std::uint8_t byte) { return kValidOp[byte]; }
 
 }  // namespace mc::vm

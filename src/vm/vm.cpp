@@ -1,28 +1,388 @@
 #include "vm/vm.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "audit/check.hpp"
-#include "common/serial.hpp"
 #include "crypto/sha256.hpp"
+#include "vm/analysis/analysis.hpp"
 
 namespace mc::vm {
 namespace {
 
-/// Instruction boundaries (valid jump targets) for a code blob.
-std::vector<bool> jump_targets(BytesView code) {
-  std::vector<bool> valid(code.size(), false);
-  std::size_t pc = 0;
-  while (pc < code.size()) {
-    valid[pc] = true;
-    if (!is_valid_op(code[pc])) break;
-    pc += 1 + static_cast<std::size_t>(
-                  immediate_width(static_cast<Op>(code[pc])));
+using Instr = DecodedProgram::Instr;
+
+/// True for the instructions that end a straight-line run: they halt or
+/// transfer control, so the instruction after them starts a new run.
+bool ends_run(Op op) {
+  return op == Op::Stop || op == Op::Jump || op == Op::JumpI ||
+         op == Op::Return || op == Op::Revert ||
+         op == DecodedProgram::kBadInstr || op == DecodedProgram::kEndOfCode;
+}
+
+/// Fill in `out`'s stack effect: the depth the op pops from and whether
+/// it grows the stack (the only ops that can overflow).
+void set_stack_effect(Instr& out, Word imm) {
+  const auto depth = [&](Word n) {
+    return static_cast<std::uint16_t>(n == 0 ? DecodedProgram::kAlwaysUnderflows
+                                             : n);
+  };
+  switch (out.op) {
+    case Op::Push:
+    case Op::CallDataSize:
+    case Op::Caller:
+    case Op::CallValue:
+    case Op::Height:
+    case Op::Timestamp:
+    case Op::GasLeft:
+      out.pushes = true;
+      break;
+    case Op::Dup:
+      out.pops = depth(imm);
+      out.pushes = true;
+      break;
+    case Op::Swap:
+      out.pops = imm == 0 ? DecodedProgram::kAlwaysUnderflows
+                          : static_cast<std::uint16_t>(imm + 1);
+      break;
+    case Op::HashN:
+      out.pops = depth(imm);
+      break;
+    case Op::Emit:
+      out.pops = static_cast<std::uint16_t>(imm + 1);
+      break;
+    case Op::Return:
+      out.pops = static_cast<std::uint16_t>(imm);
+      break;
+    case Op::Pop:
+    case Op::IsZero:
+    case Op::Not:
+    case Op::Jump:
+    case Op::CallDataLoad:
+    case Op::SLoad:
+    case Op::Oracle:
+      out.pops = 1;
+      break;
+    case Op::Add:
+    case Op::Sub:
+    case Op::Mul:
+    case Op::Div:
+    case Op::Mod:
+    case Op::Lt:
+    case Op::Gt:
+    case Op::Eq:
+    case Op::And:
+    case Op::Or:
+    case Op::Xor:
+    case Op::Shl:
+    case Op::Shr:
+    case Op::JumpI:
+    case Op::SStore:
+    case Op::SxLoad:
+      out.pops = 2;
+      break;
+    case Op::Stop:
+    case Op::Revert:
+      break;
   }
-  return valid;
+}
+
+DecodedProgram lower_program(BytesView code, bool stack_checked) {
+  analysis::Program decoded = analysis::decode_program(code);
+  DecodedProgram program;
+  program.stack_checked = stack_checked;
+  program.instrs.reserve(decoded.instrs.size() + 1);
+  for (const analysis::Instr& in : decoded.instrs) {
+    Instr out;
+    out.imm = in.imm;
+    if (in.valid) {
+      out.op = in.op;
+      out.gas = static_cast<std::uint16_t>(gas_cost(in.op));
+      out.step = 1;
+      set_stack_effect(out, in.imm);
+    } else {
+      out.op = DecodedProgram::kBadInstr;
+    }
+    program.instrs.push_back(out);
+  }
+  Instr end;
+  end.op = DecodedProgram::kEndOfCode;
+  program.instrs.push_back(end);
+
+  // Suffix sums within each run, from its last instruction backwards.
+  MC_ASSERT(program.instrs.size() <= UINT32_MAX,
+            "program too long for a 32-bit step count");
+  for (std::size_t i = program.instrs.size(); i-- > 0;) {
+    Instr& in = program.instrs[i];
+    in.run_gas = in.gas;
+    in.run_steps = in.step;
+    if (!ends_run(in.op)) {
+      in.run_gas += program.instrs[i + 1].run_gas;
+      in.run_steps += program.instrs[i + 1].run_steps;
+    }
+  }
+  program.index_at = std::move(decoded.instr_at);
+  static_assert(DecodedProgram::kNoInstr == analysis::Program::kNoInstr);
+  return program;
+}
+
+/// The interpreter over a lowered program. kStackChecked keeps the
+/// per-op stack checks; without them the program must be one whose
+/// analysis proved that no run under- or overflows the stack.
+template <bool kStackChecked>
+ExecResult run(const DecodedProgram& program, const Storage& storage,
+               const ExecContext& ctx, Host& host) {
+  ExecResult result;
+  WriteSet writes;  // handed out only on success
+  std::vector<Event> events;
+  std::array<Word, kMaxStack> stack;  // only slots below sp are read
+  std::size_t sp = 0;
+  std::size_t high = 0;  // peak depth, for ExecTrace::max_stack
+  const Instr* const instrs = program.instrs.data();
+  std::size_t next = 0;
+  std::uint64_t gas = 0;
+  std::uint64_t steps = 0;
+  // The current run did not fit the limits and is charged per
+  // instruction, so OutOfGas and StepLimit trap where the reference
+  // traps.
+  bool metered = false;
+
+  const auto enter = [&](std::size_t at) {
+    next = at;
+    const Instr& head = instrs[at];
+    metered = gas + head.run_gas > ctx.gas_limit ||
+              steps + head.run_steps > ctx.step_limit;
+    if (!metered) {
+      gas += head.run_gas;
+      steps += head.run_steps;
+    }
+  };
+  // Gas charged on entry to a whole run for the instructions after `in`,
+  // which never retired.
+  const auto unretired_gas = [&](const Instr& in) -> std::uint64_t {
+    return metered ? 0 : in.run_gas - in.gas;
+  };
+  const auto halt = [&](Halt h, const Instr& in) {
+    gas -= unretired_gas(in);
+    if (!metered) steps -= in.run_steps - in.step;
+    result.halt = h;
+    result.gas_used = std::min(gas, ctx.gas_limit);
+    result.steps = steps;
+    if (ctx.trace != nullptr)
+      ctx.trace->max_stack = std::max(ctx.trace->max_stack, high);
+    if (halted_ok(h)) {
+      result.writes = std::move(writes);
+      for (const auto& ev : events) host.on_event(ev);
+    }
+    return std::move(result);
+  };
+  const auto push = [&](Word v) {
+    stack[sp++] = v;
+    high = std::max(high, sp);
+  };
+  const auto pop = [&]() { return stack[--sp]; };
+  // Pops b, then a; pushes f(a, b).
+  const auto binary = [&](auto f) {
+    const Word b = pop();
+    stack[sp - 1] = f(stack[sp - 1], b);
+  };
+  const auto jump_index = [&](Word target) {
+    return target < program.index_at.size()
+               ? program.index_at[static_cast<std::size_t>(target)]
+               : DecodedProgram::kNoInstr;
+  };
+
+  enter(0);
+  for (;;) {
+    const Instr& in = instrs[next++];
+    if (metered) [[unlikely]] {
+      gas += in.gas;
+      if (gas > ctx.gas_limit) return halt(Halt::OutOfGas, in);
+      steps += in.step;
+      if (steps > ctx.step_limit) return halt(Halt::StepLimit, in);
+    }
+    if constexpr (kStackChecked) {
+      if (sp < in.pops) return halt(Halt::StackUnderflow, in);
+      if (in.pushes && sp >= kMaxStack) return halt(Halt::StackOverflow, in);
+    } else {
+      MC_DCHECK(sp >= in.pops && !(in.pushes && sp >= kMaxStack),
+                "analyzer-clean program left its proven stack bounds");
+    }
+
+    switch (in.op) {
+      case Op::Stop:
+        return halt(Halt::Stop, in);
+
+      case Op::Push:
+        push(in.imm);
+        break;
+
+      case Op::Pop:
+        --sp;
+        break;
+
+      case Op::Dup:
+        push(stack[sp - in.imm]);
+        break;
+
+      case Op::Swap:
+        std::swap(stack[sp - 1], stack[sp - 1 - in.imm]);
+        break;
+
+      case Op::Add: binary([](Word a, Word b) { return a + b; }); break;
+      case Op::Sub: binary([](Word a, Word b) { return a - b; }); break;
+      case Op::Mul: binary([](Word a, Word b) { return a * b; }); break;
+      case Op::Div:
+        if (stack[sp - 1] == 0) return halt(Halt::DivideByZero, in);
+        binary([](Word a, Word b) { return a / b; });
+        break;
+      case Op::Mod:
+        if (stack[sp - 1] == 0) return halt(Halt::DivideByZero, in);
+        binary([](Word a, Word b) { return a % b; });
+        break;
+      case Op::Lt: binary([](Word a, Word b) -> Word { return a < b; }); break;
+      case Op::Gt: binary([](Word a, Word b) -> Word { return a > b; }); break;
+      case Op::Eq: binary([](Word a, Word b) -> Word { return a == b; }); break;
+      case Op::And: binary([](Word a, Word b) { return a & b; }); break;
+      case Op::Or: binary([](Word a, Word b) { return a | b; }); break;
+      case Op::Xor: binary([](Word a, Word b) { return a ^ b; }); break;
+      case Op::Shl:
+        binary([](Word a, Word b) -> Word { return b >= 64 ? 0 : a << b; });
+        break;
+      case Op::Shr:
+        binary([](Word a, Word b) -> Word { return b >= 64 ? 0 : a >> b; });
+        break;
+
+      case Op::IsZero:
+        stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0;
+        break;
+      case Op::Not:
+        stack[sp - 1] = ~stack[sp - 1];
+        break;
+
+      case Op::Jump: {
+        const std::size_t to = jump_index(pop());
+        if (to == DecodedProgram::kNoInstr) return halt(Halt::BadJump, in);
+        enter(to);
+        break;
+      }
+
+      case Op::JumpI: {
+        const Word target = pop();
+        if (pop() == 0) {
+          enter(next);
+          break;
+        }
+        const std::size_t to = jump_index(target);
+        if (to == DecodedProgram::kNoInstr) return halt(Halt::BadJump, in);
+        enter(to);
+        break;
+      }
+
+      case Op::CallDataLoad: {
+        const Word index = stack[sp - 1];
+        stack[sp - 1] = index < ctx.calldata.size()
+                            ? ctx.calldata[static_cast<std::size_t>(index)]
+                            : 0;
+        break;
+      }
+
+      case Op::CallDataSize:
+        push(ctx.calldata.size());
+        break;
+
+      case Op::SLoad: {
+        const Word key = stack[sp - 1];
+        if (ctx.trace != nullptr) ctx.trace->reads.insert(key);
+        if (auto w = writes.find(key); w != writes.end()) {
+          stack[sp - 1] = w->second;
+        } else {
+          auto it = storage.find(key);
+          stack[sp - 1] = it == storage.end() ? 0 : it->second;
+        }
+        break;
+      }
+
+      case Op::SxLoad: {
+        const Word target = pop();
+        const Word key = stack[sp - 1];
+        if (ctx.trace != nullptr) ctx.trace->foreign_reads.emplace(target, key);
+        const std::optional<Word> value = host.foreign_storage(target, key);
+        if (!value.has_value()) return halt(Halt::OracleFailure, in);
+        stack[sp - 1] = *value;
+        break;
+      }
+
+      case Op::SStore: {
+        const Word key = pop();
+        const Word value = pop();
+        if (ctx.trace != nullptr) ctx.trace->writes.insert(key);
+        writes[key] = value;
+        break;
+      }
+
+      case Op::Caller: push(ctx.caller); break;
+      case Op::CallValue: push(ctx.call_value); break;
+      case Op::Height: push(ctx.height); break;
+      case Op::Timestamp: push(ctx.time_ms); break;
+      case Op::GasLeft:
+        push(ctx.gas_limit - (gas - unretired_gas(in)));
+        break;
+
+      case Op::Emit: {
+        const auto n = static_cast<std::size_t>(in.imm);
+        Event& ev = events.emplace_back();
+        ev.contract_id = ctx.contract_id;
+        ev.height = ctx.height;
+        ev.topic = stack[sp - 1];
+        ev.args.assign(stack.begin() + static_cast<std::ptrdiff_t>(sp - 1 - n),
+                       stack.begin() + static_cast<std::ptrdiff_t>(sp - 1));
+        sp -= n + 1;
+        break;
+      }
+
+      case Op::HashN: {
+        // The bytes ByteWriter::u64 would write, without the allocation.
+        const auto n = static_cast<std::size_t>(in.imm);
+        std::array<std::uint8_t, 255 * 8> bytes;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t b = 0; b < 8; ++b)
+            bytes[8 * i + b] =
+                static_cast<std::uint8_t>(stack[sp - n + i] >> (8 * b));
+        sp -= n;
+        push(crypto::sha256(BytesView(bytes.data(), 8 * n)).prefix_u64());
+        break;
+      }
+
+      case Op::Oracle: {
+        const std::optional<Word> reply = host.oracle(stack[sp - 1]);
+        if (!reply.has_value()) return halt(Halt::OracleFailure, in);
+        stack[sp - 1] = *reply;
+        break;
+      }
+
+      case Op::Return: {
+        const auto n = static_cast<std::size_t>(in.imm);
+        result.returned.assign(
+            stack.begin() + static_cast<std::ptrdiff_t>(sp - n),
+            stack.begin() + static_cast<std::ptrdiff_t>(sp));
+        return halt(Halt::Return, in);
+      }
+
+      case Op::Revert:
+        return halt(Halt::Revert, in);
+
+      default:
+        // The two sentinels: falling off the end behaves like STOP.
+        return halt(in.op == DecodedProgram::kEndOfCode ? Halt::Stop
+                                                        : Halt::BadOpcode,
+                    in);
+    }
+  }
 }
 
 }  // namespace
+
 
 std::string_view halt_name(Halt h) {
   switch (h) {
@@ -60,278 +420,25 @@ void fold_writes(Storage& storage, const WriteSet& writes) {
   }
 }
 
+DecodedProgram lower(BytesView code) {
+  return lower_program(code, /*stack_checked=*/true);
+}
+
+DecodedProgram lower(BytesView code, const analysis::AnalysisReport& report) {
+  MC_ASSERT(report.code_bytes == code.size(),
+            "lowering code with another program's analysis");
+  return lower_program(code, /*stack_checked=*/!report.clean());
+}
+
+ExecResult execute(const DecodedProgram& program, const Storage& storage,
+                   const ExecContext& ctx, Host& host) {
+  return program.stack_checked ? run<true>(program, storage, ctx, host)
+                               : run<false>(program, storage, ctx, host);
+}
+
 ExecResult execute(BytesView code, const Storage& storage,
                    const ExecContext& ctx, Host& host) {
-  ExecResult result;
-  WriteSet writes;  // handed out only on success
-  std::vector<Word> stack;
-  stack.reserve(64);
-  std::vector<Event> events;
-  const std::vector<bool> targets = jump_targets(code);
-
-  std::size_t pc = 0;
-  std::uint64_t gas = 0;
-
-  const auto trap = [&](Halt h) {
-    result.halt = h;
-    result.gas_used = std::min(gas, ctx.gas_limit);
-    return std::move(result);
-  };
-  const auto finish = [&](Halt h) {
-    result.writes = std::move(writes);
-    for (const auto& ev : events) host.on_event(ev);
-    result.halt = h;
-    result.gas_used = gas;
-    return std::move(result);
-  };
-
-  const auto need = [&](std::size_t n) { return stack.size() >= n; };
-  const auto pop = [&]() {
-    const Word v = stack.back();
-    stack.pop_back();
-    return v;
-  };
-
-  while (pc < code.size()) {
-    MC_DCHECK(stack.size() <= kMaxStack, "VM stack exceeded its hard bound");
-    MC_DCHECK(gas <= ctx.gas_limit, "VM retired an instruction past its gas");
-    if (!is_valid_op(code[pc])) return trap(Halt::BadOpcode);
-    const Op op = static_cast<Op>(code[pc]);
-    const int imm_width = immediate_width(op);
-    if (pc + 1 + static_cast<std::size_t>(imm_width) > code.size())
-      return trap(Halt::BadOpcode);
-
-    gas += gas_cost(op);
-    if (gas > ctx.gas_limit) return trap(Halt::OutOfGas);
-    if (++result.steps > ctx.step_limit) return trap(Halt::StepLimit);
-
-    Word imm = 0;
-    for (int i = 0; i < imm_width; ++i)
-      imm |= static_cast<Word>(code[pc + 1 + static_cast<std::size_t>(i)])
-             << (8 * i);
-    std::size_t next_pc = pc + 1 + static_cast<std::size_t>(imm_width);
-
-    switch (op) {
-      case Op::Stop:
-        return finish(Halt::Stop);
-
-      case Op::Push:
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(imm);
-        break;
-
-      case Op::Pop:
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        stack.pop_back();
-        break;
-
-      case Op::Dup: {
-        const std::size_t depth = static_cast<std::size_t>(imm);
-        if (depth == 0 || !need(depth)) return trap(Halt::StackUnderflow);
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(stack[stack.size() - depth]);
-        break;
-      }
-
-      case Op::Swap: {
-        const std::size_t depth = static_cast<std::size_t>(imm);
-        if (depth == 0 || !need(depth + 1)) return trap(Halt::StackUnderflow);
-        std::swap(stack.back(), stack[stack.size() - 1 - depth]);
-        break;
-      }
-
-      case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
-      case Op::Div:
-      case Op::Mod:
-      case Op::Lt:
-      case Op::Gt:
-      case Op::Eq:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
-      case Op::Shl:
-      case Op::Shr: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word b = pop();
-        const Word a = pop();
-        Word out = 0;
-        switch (op) {
-          case Op::Add: out = a + b; break;
-          case Op::Sub: out = a - b; break;
-          case Op::Mul: out = a * b; break;
-          case Op::Div:
-            if (b == 0) return trap(Halt::DivideByZero);
-            out = a / b;
-            break;
-          case Op::Mod:
-            if (b == 0) return trap(Halt::DivideByZero);
-            out = a % b;
-            break;
-          case Op::Lt: out = a < b ? 1 : 0; break;
-          case Op::Gt: out = a > b ? 1 : 0; break;
-          case Op::Eq: out = a == b ? 1 : 0; break;
-          case Op::And: out = a & b; break;
-          case Op::Or: out = a | b; break;
-          case Op::Xor: out = a ^ b; break;
-          case Op::Shl: out = b >= 64 ? 0 : a << b; break;
-          case Op::Shr: out = b >= 64 ? 0 : a >> b; break;
-          default: break;
-        }
-        stack.push_back(out);
-        break;
-      }
-
-      case Op::IsZero:
-      case Op::Not: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word a = pop();
-        stack.push_back(op == Op::IsZero ? (a == 0 ? 1 : 0) : ~a);
-        break;
-      }
-
-      case Op::Jump: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        if (target >= code.size() || !targets[static_cast<std::size_t>(target)])
-          return trap(Halt::BadJump);
-        next_pc = static_cast<std::size_t>(target);
-        break;
-      }
-
-      case Op::JumpI: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        const Word cond = pop();
-        if (cond != 0) {
-          if (target >= code.size() ||
-              !targets[static_cast<std::size_t>(target)])
-            return trap(Halt::BadJump);
-          next_pc = static_cast<std::size_t>(target);
-        }
-        break;
-      }
-
-      case Op::CallDataLoad: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word index = pop();
-        stack.push_back(index < ctx.calldata.size()
-                            ? ctx.calldata[static_cast<std::size_t>(index)]
-                            : 0);
-        break;
-      }
-
-      case Op::CallDataSize:
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        stack.push_back(ctx.calldata.size());
-        break;
-
-      case Op::SLoad: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word key = pop();
-        if (ctx.trace != nullptr) ctx.trace->reads.insert(key);
-        if (auto w = writes.find(key); w != writes.end()) {
-          stack.push_back(w->second);
-        } else {
-          auto it = storage.find(key);
-          stack.push_back(it == storage.end() ? 0 : it->second);
-        }
-        break;
-      }
-
-      case Op::SxLoad: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word target = pop();
-        const Word key = pop();
-        if (ctx.trace != nullptr) ctx.trace->foreign_reads.emplace(target, key);
-        const std::optional<Word> value = host.foreign_storage(target, key);
-        if (!value.has_value()) return trap(Halt::OracleFailure);
-        stack.push_back(*value);
-        break;
-      }
-
-      case Op::SStore: {
-        if (!need(2)) return trap(Halt::StackUnderflow);
-        const Word key = pop();
-        const Word value = pop();
-        if (ctx.trace != nullptr) ctx.trace->writes.insert(key);
-        writes[key] = value;
-        break;
-      }
-
-      case Op::Caller:
-      case Op::CallValue:
-      case Op::Height:
-      case Op::Timestamp:
-      case Op::GasLeft: {
-        // Environment reads grow the stack like PUSH and need the same
-        // overflow trap (a CALLER-flood program must not blow the cap).
-        if (stack.size() >= kMaxStack) return trap(Halt::StackOverflow);
-        Word v = 0;
-        switch (op) {
-          case Op::Caller: v = ctx.caller; break;
-          case Op::CallValue: v = ctx.call_value; break;
-          case Op::Height: v = ctx.height; break;
-          case Op::Timestamp: v = ctx.time_ms; break;
-          case Op::GasLeft: v = ctx.gas_limit - gas; break;
-          default: break;
-        }
-        stack.push_back(v);
-        break;
-      }
-
-      case Op::Emit: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (!need(n + 1)) return trap(Halt::StackUnderflow);
-        Event ev;
-        ev.contract_id = ctx.contract_id;
-        ev.height = ctx.height;
-        ev.topic = pop();
-        ev.args.resize(n);
-        for (std::size_t i = 0; i < n; ++i) ev.args[n - 1 - i] = pop();
-        events.push_back(std::move(ev));
-        break;
-      }
-
-      case Op::HashN: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (n == 0 || !need(n)) return trap(Halt::StackUnderflow);
-        ByteWriter w;
-        for (std::size_t i = 0; i < n; ++i)
-          w.u64(stack[stack.size() - n + i]);
-        stack.resize(stack.size() - n);
-        stack.push_back(crypto::sha256(BytesView(w.data())).prefix_u64());
-        break;
-      }
-
-      case Op::Oracle: {
-        if (!need(1)) return trap(Halt::StackUnderflow);
-        const Word request = pop();
-        const std::optional<Word> reply = host.oracle(request);
-        if (!reply.has_value()) return trap(Halt::OracleFailure);
-        stack.push_back(*reply);
-        break;
-      }
-
-      case Op::Return: {
-        const std::size_t n = static_cast<std::size_t>(imm);
-        if (!need(n)) return trap(Halt::StackUnderflow);
-        result.returned.assign(stack.end() - static_cast<std::ptrdiff_t>(n),
-                               stack.end());
-        return finish(Halt::Return);
-      }
-
-      case Op::Revert:
-        return trap(Halt::Revert);
-    }
-    if (ctx.trace != nullptr)
-      ctx.trace->max_stack = std::max(ctx.trace->max_stack, stack.size());
-    pc = next_pc;
-  }
-
-  // Falling off the end behaves like STOP.
-  return finish(Halt::Stop);
+  return execute(lower(code), storage, ctx, host);
 }
 
 }  // namespace mc::vm

@@ -39,6 +39,8 @@ struct Event {
   Word topic = 0;
   std::vector<Word> args;
   std::uint64_t height = 0;
+
+  friend bool operator==(const Event&, const Event&) = default;
 };
 
 /// Why execution halted.
@@ -71,6 +73,8 @@ struct ExecResult {
   WriteSet writes;
 
   [[nodiscard]] bool ok() const { return halted_ok(halt); }
+
+  friend bool operator==(const ExecResult&, const ExecResult&) = default;
 };
 
 /// Dynamic execution trace, recorded when ExecContext::trace is set:
@@ -83,6 +87,8 @@ struct ExecTrace {
   std::set<Word> writes;
   std::set<std::pair<Word, Word>> foreign_reads;  ///< (contract, key)
   std::size_t max_stack = 0;
+
+  friend bool operator==(const ExecTrace&, const ExecTrace&) = default;
 };
 
 /// Execution environment provided by the node.
@@ -126,10 +132,66 @@ class NullHost : public Host {
   void on_event(const Event&) override {}
 };
 
-/// Execute `code` over committed `storage`, which the run only reads:
+/// A contract lowered once for execution (DESIGN.md §12 "Decoded
+/// programs"): fixed-width instructions with their immediates decoded,
+/// a pc -> instruction-index table for jumps, and per instruction the
+/// gas and steps left to the end of its straight-line run, so a run is
+/// charged once on entry. Built by lower(); ContractStore caches one per
+/// deployed contract.
+struct DecodedProgram {
+  struct Instr {
+    Word imm = 0;
+    std::uint64_t run_gas = 0;    ///< gas from here to the run's end
+    std::uint32_t run_steps = 0;  ///< steps from here to the run's end
+    std::uint16_t gas = 0;        ///< this instruction's own gas
+    /// Stack depth it needs (kAlwaysUnderflows for DUP 0, SWAP 0,
+    /// HASHN 0) and whether it pushes one word more than it pops.
+    std::uint16_t pops = 0;
+    bool pushes = false;
+    std::uint8_t step = 0;        ///< 1, or 0 for the two sentinels
+    Op op = Op::Stop;             ///< or kBadInstr / kEndOfCode
+  };
+
+  static constexpr std::uint16_t kAlwaysUnderflows = 0xffff;
+
+  /// Sentinel ops outside the instruction set: the undefined opcode or
+  /// truncated immediate where decoding stopped (traps BadOpcode), and
+  /// the end of the code (halts like STOP). Neither costs gas or a step.
+  static constexpr Op kBadInstr = static_cast<Op>(0xfe);
+  static constexpr Op kEndOfCode = static_cast<Op>(0xff);
+
+  /// The decoded instructions, then one kEndOfCode.
+  std::vector<Instr> instrs;
+  /// Instruction index for each code byte that starts one (the valid
+  /// jump targets); kNoInstr elsewhere.
+  std::vector<std::size_t> index_at;
+  /// Per-op stack checks; false only for code whose static analysis
+  /// rules out stack underflow and overflow (AnalysisReport::clean()).
+  bool stack_checked = true;
+
+  static constexpr std::size_t kNoInstr = static_cast<std::size_t>(-1);
+};
+
+namespace analysis {
+struct AnalysisReport;
+}
+
+/// Lower `code` with every per-op stack check kept.
+[[nodiscard]] DecodedProgram lower(BytesView code);
+
+/// Lower `code`, whose static analysis is `report`: a clean report
+/// drops the per-op stack checks.
+[[nodiscard]] DecodedProgram lower(BytesView code,
+                                   const analysis::AnalysisReport& report);
+
+/// Execute `program` over committed `storage`, which the run only reads:
 /// SSTOREs buffer into a write-set that SLOADs consult first, returned
 /// only when the run halts ok (all-or-nothing semantics). Emitted events
 /// are delivered to the host only on success.
+ExecResult execute(const DecodedProgram& program, const Storage& storage,
+                   const ExecContext& ctx, Host& host);
+
+/// execute(lower(code), ...): for raw code outside a ContractStore.
 ExecResult execute(BytesView code, const Storage& storage,
                    const ExecContext& ctx, Host& host);
 

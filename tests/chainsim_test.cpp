@@ -30,6 +30,21 @@ TEST(ChainSim, PowRunCommitsTransactions) {
   EXPECT_GT(report.blocks_on_best_chain, 0u);
 }
 
+TEST(ChainSim, ForkedPowCountsEveryTxOnAllBestChains) {
+  // 0.1 s blocks fork the chain: some txs land in side blocks that
+  // become best only through a later child. A tx counts once a majority
+  // of nodes have it on their best chain, however it got there, so
+  // every tx on all nodes' best chains at the end is counted.
+  ChainSimConfig config = small_config(ConsensusKind::ProofOfWork);
+  config.tx_count = 100;
+  config.params.block_interval_s = 0.1;
+  const ChainSimReport report = run_chain_sim(config);
+  EXPECT_LT(report.blocks_on_best_chain, report.blocks_produced)
+      << "the run must fork to exercise side-branch commits";
+  EXPECT_EQ(report.txs_on_every_best_chain, report.submitted_txs);
+  EXPECT_EQ(report.committed_txs, report.txs_on_every_best_chain);
+}
+
 TEST(ChainSim, PosRunBurnsNoHashes) {
   const ChainSimReport report = run_chain_sim(small_config(ConsensusKind::ProofOfStake));
   EXPECT_GE(report.committed_txs, 55u);

@@ -15,15 +15,33 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
+#include "vm/analysis/analysis.hpp"
 #include "vm/assembler.hpp"
 #include "vm/vm.hpp"
+#include "vm_differential.hpp"
 
 namespace mc {
 namespace {
 
-// --- VM never crashes on arbitrary bytecode ---------------------------
+// --- VM never crashes on arbitrary bytecode, and the lowered program
+// --- agrees with the byte-at-a-time reference -------------------------
 
 class VmFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Random limits around a typical run's budget, so some runs are charged
+/// per run and others cross a limit mid-run and are metered.
+vm::ExecContext random_context(Rng& rng) {
+  vm::ExecContext ctx;
+  ctx.contract_id = 11;
+  ctx.caller = rng.next();
+  ctx.call_value = rng.uniform(100);
+  ctx.height = 44;
+  ctx.time_ms = 55;
+  ctx.gas_limit = rng.uniform(4) == 0 ? rng.uniform(400) : 20'000;
+  ctx.step_limit = rng.uniform(4) == 0 ? rng.uniform(100) : 5'000;
+  ctx.calldata = {1, 2, 3};
+  return ctx;
+}
 
 TEST_P(VmFuzz, ArbitraryBytecodeIsSafe) {
   Rng rng(GetParam());
@@ -33,10 +51,7 @@ TEST_P(VmFuzz, ArbitraryBytecodeIsSafe) {
     storage[7] = 42;  // pre-existing state to protect
     const vm::Storage before = storage;
 
-    vm::ExecContext ctx;
-    ctx.gas_limit = 20'000;
-    ctx.step_limit = 5'000;
-    ctx.calldata = {1, 2, 3};
+    const vm::ExecContext ctx = random_context(rng);
     vm::NullHost host;
     const vm::ExecResult result =
         vm::execute(BytesView(code), storage, ctx, host);
@@ -50,6 +65,39 @@ TEST_P(VmFuzz, ArbitraryBytecodeIsSafe) {
       EXPECT_EQ(storage, before);
     }
   }
+}
+
+TEST_P(VmFuzz, DecodedProgramMatchesReference) {
+  // Both instantiations: arbitrary bytes run checked (they are almost
+  // never analyzer-clean, and analyzing them dominates the test's time);
+  // structured programs run as lowered against their analysis, which
+  // often proves them clean and drops the stack checks.
+  Rng rng(GetParam() + 1000);
+  std::size_t clean = 0;
+  for (int round = 0; round < 400; ++round) {
+    const bool structured = round % 2 == 1;
+    const Bytes code =
+        structured ? vm::testing::structured_program(rng, 4 + rng.uniform(40))
+                   : rng.bytes(1 + rng.uniform(256));
+    const vm::Storage storage{{1, 7}, {2, 0xffff}, {7, 42}};
+    const vm::ExecContext ctx = random_context(rng);
+    const vm::testing::RecordedRun reference =
+        vm::testing::run_reference(BytesView(code), storage, ctx);
+    EXPECT_EQ(vm::testing::run_decoded(vm::lower(BytesView(code)), storage,
+                                       ctx),
+              reference)
+        << "checked, round " << round;
+    if (!structured) continue;
+    const vm::analysis::AnalysisReport report =
+        vm::analysis::analyze(BytesView(code));
+    const vm::DecodedProgram program = vm::lower(BytesView(code), report);
+    EXPECT_EQ(program.stack_checked, !report.clean());
+    EXPECT_EQ(vm::testing::run_decoded(program, storage, ctx), reference)
+        << "analyzed, round " << round;
+    clean += report.clean() ? 1 : 0;
+  }
+  EXPECT_GT(clean, 40u) << "too few analyzer-clean programs to cover the "
+                           "unchecked instantiation";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VmFuzz, ::testing::Range<std::uint64_t>(1, 9));

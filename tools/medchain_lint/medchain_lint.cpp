@@ -27,7 +27,12 @@
 //                            ContractStore::deploy/call so the static
 //                            analyzer's admission gate (and, in audit
 //                            builds, its soundness check) cannot be
-//                            bypassed.
+//                            bypassed. The reference interpreter
+//                            (audit::reference_execute) is banned
+//                            outside audit/, the MEDCHAIN_AUDIT leg of
+//                            vm/contract_store.cpp and the tests, fuzz
+//                            harnesses and benches that compare against
+//                            it — production runs the decoded program.
 //   state-direct-apply       raw WorldState .apply() calls
 //                            are banned outside chain/state and
 //                            chain/execution/ — block transactions go
@@ -101,7 +106,8 @@ constexpr Rule kRules[] = {
      "public decode*/verify* header declarations must be [[nodiscard]]"},
     {"vm-direct-execute",
      "ContractStore::deploy/call only - raw vm::execute skips the "
-     "admission gate (vm/analysis) outside vm/"},
+     "admission gate (vm/analysis) outside vm/, and the reference "
+     "interpreter runs only in audit/ and audit-build checks"},
     {"state-direct-apply",
      "BlockExecutor (chain/execution) only - raw <state>.apply() outside "
      "chain/state skips the scheduled execution pipeline"},
@@ -291,6 +297,62 @@ const char* check_raw_assert(std::string_view line) {
 const char* check_vm_direct_execute(std::string_view line) {
   return has_token(line, "vm::execute(") ? "vm::execute(" : nullptr;
 }
+
+const char* check_reference_execute(std::string_view line) {
+  return has_token(line, "reference_execute(") ? "reference_execute("
+                                               : nullptr;
+}
+
+/// audit/ defines the reference interpreter; the store checks every run
+/// against it inside its MEDCHAIN_AUDIT leg; tests, fuzz harnesses and
+/// benches compare against it.
+bool reference_call_allowed(const std::string& rel, bool audit_leg) {
+  return in_dir(rel, "audit/") ||
+         (rel == "vm/contract_store.cpp" && audit_leg) ||
+         rel.find("tests/") != std::string::npos ||
+         rel.find("fuzz/") != std::string::npos ||
+         rel.find("bench/") != std::string::npos;
+}
+
+/// Tracks #if nesting to tell whether a line sits in a
+/// `#if defined(MEDCHAIN_AUDIT)` / `#ifdef MEDCHAIN_AUDIT` branch.
+class AuditLegTracker {
+ public:
+  void feed(std::string_view stripped) {
+    const auto first = stripped.find_first_not_of(" \t");
+    if (first == std::string_view::npos || stripped[first] != '#') return;
+    std::string_view directive = stripped.substr(first + 1);
+    directive.remove_prefix(
+        std::min(directive.find_first_not_of(" \t"), directive.size()));
+    const auto starts = [&](std::string_view word) {
+      return directive.rfind(word, 0) == 0;
+    };
+    if (starts("if")) {  // #if, #ifdef, #ifndef
+      const bool names_audit =
+          directive.find("MEDCHAIN_AUDIT") != std::string::npos;
+      const bool negated =
+          starts("ifndef") || directive.find('!') != std::string::npos;
+      open_.push_back({names_audit && !negated, names_audit && negated});
+    } else if (starts("el") && !open_.empty()) {  // #else, #elif
+      open_.back().audit = open_.back().else_is_audit && starts("else");
+      open_.back().else_is_audit = false;
+    } else if (starts("endif") && !open_.empty()) {
+      open_.pop_back();
+    }
+  }
+
+  [[nodiscard]] bool in_audit_leg() const {
+    return std::any_of(open_.begin(), open_.end(),
+                       [](const Level& l) { return l.audit; });
+  }
+
+ private:
+  struct Level {
+    bool audit;          ///< the current branch is compiled only in audit
+    bool else_is_audit;  ///< an #if !MEDCHAIN_AUDIT: its #else is
+  };
+  std::vector<Level> open_;
+};
 
 bool ends_with_ci(std::string_view s, std::string_view suffix) {
   if (s.size() < suffix.size()) return false;
@@ -515,6 +577,7 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
   const bool is_header = ext == ".hpp" || ext == ".h";
 
   Stripper stripper;
+  AuditLegTracker audit_leg;
   std::set<std::string> file_allows;
   std::vector<std::string> prev_allows;
   std::string prev_stripped;
@@ -546,6 +609,7 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
           out.expectations.push_back({rel, line_no, rule});
 
     const std::string stripped = stripper.strip(raw);
+    audit_leg.feed(stripped);
 
     const auto allowed = [&](std::string_view rule) {
       const auto match = [&](const std::vector<std::string>& list) {
@@ -554,12 +618,14 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
       return file_allows.count(std::string(rule)) > 0 ||
              match(line_allows) || match(prev_allows);
     };
-    const auto report = [&](std::string_view rule, const char* token) {
-      if (token == nullptr) return;
-      if (!rule_applies(rule, rel, is_header)) return;
-      if (allowed(rule)) return;
+    const auto report_if = [&](std::string_view rule, const char* token,
+                               bool applies) {
+      if (token == nullptr || !applies || allowed(rule)) return;
       out.violations.push_back(
           {rel, line_no, std::string(rule), std::string(token)});
+    };
+    const auto report = [&](std::string_view rule, const char* token) {
+      report_if(rule, token, rule_applies(rule, rel, is_header));
     };
 
     report("determinism-random", check_determinism_random(stripped));
@@ -568,6 +634,8 @@ void scan_file(const fs::path& path, bool self_test, ScanResult& out) {
     report("raw-assert", check_raw_assert(stripped));
     report("nodiscard-decode", check_nodiscard(stripped, prev_stripped));
     report("vm-direct-execute", check_vm_direct_execute(stripped));
+    report_if("vm-direct-execute", check_reference_execute(stripped),
+              !reference_call_allowed(rel, audit_leg.in_audit_leg()));
     report("state-direct-apply", check_state_direct_apply(stripped));
     report("footprint-bypass", check_footprint_bypass(stripped));
     report("state-copy", check_state_copy(stripped));

@@ -32,6 +32,15 @@ void vm_bypass_violation() {
   store.call(id, ctx, host);  // admission path: must not fire
 }
 
+void reference_bypass_violations() {
+  auto r = audit::reference_execute(code, storage, ctx, host);  // expect(vm-direct-execute)
+#if defined(MEDCHAIN_AUDIT)
+  // An audit leg outside vm/contract_store.cpp is no exemption.
+  auto q = reference_execute(code, storage, ctx, host);  // expect(vm-direct-execute)
+#endif
+  (void)r; (void)q;
+}
+
 void footprint_bypass_violations() {
   store.deploy(deploy_tx, 7);               // expect(footprint-bypass)
   contract_store_->deploy(tx, height);      // expect(footprint-bypass)
